@@ -4,9 +4,9 @@
 // (google-benchmark), unlike the virtual-time experiment harnesses.
 //
 // Beyond the google-benchmark timings, main() always runs the multiplexing
-// sweep: concurrent clients × pipeline depth over the TCP transport in both
-// multiplexed and serialized (per-call socket checkout) modes, emitting
-// BENCH_multiplex.json for the perf trajectory.
+// sweep: concurrent clients × pipeline depth over the TCP transport's shared
+// multiplexed connection, emitting BENCH_multiplex.json for the perf
+// trajectory.
 // The session sweep (BENCH_session.json) compares the resumable-session
 // reconnect-with-replay path against the batched-failure + reissue path a
 // caller without sessions pays for the same connection loss, and records the
@@ -28,7 +28,7 @@
 #include "obs/flight_recorder.hpp"
 #include "orb/dii.hpp"
 #include "orb/orb.hpp"
-#include "orb/server_conn.hpp"
+#include "orb/reactor.hpp"
 #include "orb/tcp_transport.hpp"
 
 namespace {
@@ -182,16 +182,13 @@ struct SweepPoint {
   double mean_s = 0.0;
 };
 
-/// One (mode, clients, depth) cell: every client thread drives its OWN echo
+/// One (clients, depth) cell: every client thread drives its OWN echo
 /// servant (distinct object keys, so the server's FIFO-per-key guarantee
 /// does not serialize the comparison) with `depth` requests in flight.
-SweepPoint run_sweep_point(bool multiplex, int clients, int depth,
-                           int calls_per_client) {
+SweepPoint run_sweep_point(int clients, int depth, int calls_per_client) {
   using clock = std::chrono::steady_clock;
   auto server = corba::ORB::init({.endpoint_name = "s", .enable_tcp = true});
-  corba::OrbConfig client_config{.endpoint_name = "c", .enable_tcp = true};
-  client_config.tcp_client.multiplex = multiplex;
-  auto client = corba::ORB::init(client_config);
+  auto client = corba::ORB::init({.endpoint_name = "c", .enable_tcp = true});
 
   std::vector<corba::ObjectRef> refs;
   for (int i = 0; i < clients; ++i)
@@ -243,7 +240,7 @@ SweepPoint run_sweep_point(bool multiplex, int clients, int depth,
       std::chrono::duration<double>(clock::now() - t0).count();
 
   SweepPoint point;
-  point.mode = multiplex ? "multiplexed" : "serialized";
+  point.mode = "multiplexed";
   point.clients = clients;
   point.depth = depth;
   point.calls = static_cast<std::uint64_t>(clients) *
@@ -270,26 +267,23 @@ void run_multiplex_sweep() {
 
   std::vector<SweepPoint> points;
   std::vector<bench::JsonRow> rows;
-  for (const bool multiplex : {true, false}) {
-    for (const int clients : client_counts) {
-      for (const int depth : depths) {
-        const SweepPoint p =
-            run_sweep_point(multiplex, clients, depth, calls_per_client);
-        std::printf("%-12s %8d %6d %10llu %12.0f %10.1f %10.1f\n",
-                    p.mode.c_str(), p.clients, p.depth,
-                    static_cast<unsigned long long>(p.calls),
-                    p.throughput_rps, p.p50_s * 1e6, p.p99_s * 1e6);
-        rows.push_back({bench::jstr("mode", p.mode),
-                        bench::jint("clients", std::uint64_t(p.clients)),
-                        bench::jint("depth", std::uint64_t(p.depth)),
-                        bench::jint("calls", p.calls),
-                        bench::jnum("wall_s", p.wall_s),
-                        bench::jnum("throughput_rps", p.throughput_rps),
-                        bench::jnum("p50_s", p.p50_s),
-                        bench::jnum("p99_s", p.p99_s),
-                        bench::jnum("mean_s", p.mean_s)});
-        points.push_back(p);
-      }
+  for (const int clients : client_counts) {
+    for (const int depth : depths) {
+      const SweepPoint p = run_sweep_point(clients, depth, calls_per_client);
+      std::printf("%-12s %8d %6d %10llu %12.0f %10.1f %10.1f\n",
+                  p.mode.c_str(), p.clients, p.depth,
+                  static_cast<unsigned long long>(p.calls), p.throughput_rps,
+                  p.p50_s * 1e6, p.p99_s * 1e6);
+      rows.push_back({bench::jstr("mode", p.mode),
+                      bench::jint("clients", std::uint64_t(p.clients)),
+                      bench::jint("depth", std::uint64_t(p.depth)),
+                      bench::jint("calls", p.calls),
+                      bench::jnum("wall_s", p.wall_s),
+                      bench::jnum("throughput_rps", p.throughput_rps),
+                      bench::jnum("p50_s", p.p50_s),
+                      bench::jnum("p99_s", p.p99_s),
+                      bench::jnum("mean_s", p.mean_s)});
+      points.push_back(p);
     }
   }
 
@@ -299,7 +293,7 @@ void run_multiplex_sweep() {
   // the two p50s must land in the same latency bucket.
   for (const bool enabled : {true, false}) {
     obs::FlightRecorder::global().set_enabled(enabled);
-    SweepPoint p = run_sweep_point(true, 1, 1, calls_per_client);
+    SweepPoint p = run_sweep_point(1, 1, calls_per_client);
     p.mode = enabled ? "recorder_on" : "recorder_off";
     std::printf("%-12s %8d %6d %10llu %12.0f %10.1f %10.1f\n", p.mode.c_str(),
                 p.clients, p.depth, static_cast<unsigned long long>(p.calls),
@@ -317,8 +311,8 @@ void run_multiplex_sweep() {
   }
   obs::FlightRecorder::global().set_enabled(true);
 
-  // Headline comparison: pipelined throughput at max concurrency, and the
-  // single-client latency cost of the demux machinery.
+  // Headline comparison: what pipelining buys at max concurrency, and the
+  // single-client latency of the demux machinery.
   auto find = [&](const std::string& mode, int clients,
                   int depth) -> const SweepPoint* {
     for (const SweepPoint& p : points)
@@ -327,18 +321,14 @@ void run_multiplex_sweep() {
     return nullptr;
   };
   const int top = client_counts.back();
-  const SweepPoint* mux = find("multiplexed", top, 8);
-  const SweepPoint* ser = find("serialized", top, 8);
-  const SweepPoint* mux1 = find("multiplexed", 1, 1);
-  const SweepPoint* ser1 = find("serialized", 1, 1);
-  if (mux && ser && mux1 && ser1) {
-    std::printf("\nthroughput at %d clients, depth 8: %.0f vs %.0f rps "
-                "(%.2fx)\n",
-                top, mux->throughput_rps, ser->throughput_rps,
-                mux->throughput_rps / ser->throughput_rps);
-    std::printf("single-client p50: %.1f us (multiplexed) vs %.1f us "
-                "(serialized)\n",
-                mux1->p50_s * 1e6, ser1->p50_s * 1e6);
+  const SweepPoint* deep = find("multiplexed", top, 8);
+  const SweepPoint* sync = find("multiplexed", top, 1);
+  const SweepPoint* single = find("multiplexed", 1, 1);
+  if (deep && sync && single) {
+    std::printf("\nthroughput at %d clients: %.0f rps (depth 8) vs %.0f rps "
+                "(depth 1)\n",
+                top, deep->throughput_rps, sync->throughput_rps);
+    std::printf("single-client p50: %.1f us\n", single->p50_s * 1e6);
   }
   const SweepPoint* rec_on = find("recorder_on", 1, 1);
   const SweepPoint* rec_off = find("recorder_off", 1, 1);
@@ -570,8 +560,8 @@ void run_session_sweep() {
 //
 // The reactor's claim: connection count is decoupled from thread count.  Each
 // cell opens `connections` sockets against one endpoint (most idle, a small
-// active set driving synchronous calls) in reactor and thread-per-connection
-// mode, and records throughput, latency and the server's peak thread cost.
+// active set driving synchronous calls) and records throughput, latency and
+// the server's peak thread cost.
 
 int process_threads() {
   std::ifstream status("/proc/self/status");
@@ -593,13 +583,10 @@ struct ConnPoint {
   int peak_threads = 0;  ///< process thread growth while the sockets are open
 };
 
-ConnPoint run_conn_point(bool reactor, int connections, int active,
-                         int calls_per_active) {
+ConnPoint run_conn_point(int connections, int active, int calls_per_active) {
   using clock = std::chrono::steady_clock;
-  corba::OrbConfig config{.endpoint_name = "s", .enable_tcp = true};
-  config.reactor = reactor;
-  config.io_threads = 2;
-  auto server = corba::ORB::init(config);
+  auto server = corba::ORB::init(
+      {.endpoint_name = "s", .enable_tcp = true, .io_threads = 2});
   const corba::IOR ior =
       server->activate(std::make_shared<EchoServant>()).ior();
   const int threads_before = process_threads();
@@ -610,8 +597,7 @@ ConnPoint run_conn_point(bool reactor, int connections, int active,
     sockets.push_back(corba::Socket::connect("127.0.0.1", ior.port));
   // Let the acceptor catch up with the connect burst, then measure before
   // the harness spawns its own driver threads: the delta is purely what the
-  // server paid to hold `connections` sockets open (≈connections in threaded
-  // mode, 0 for the reactor).
+  // server paid to hold `connections` sockets open (0 for the reactor).
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   const int threads_with_conns = process_threads();
 
@@ -645,7 +631,7 @@ ConnPoint run_conn_point(bool reactor, int connections, int active,
   const double wall = std::chrono::duration<double>(clock::now() - t0).count();
 
   ConnPoint point;
-  point.mode = reactor ? "reactor" : "threaded";
+  point.mode = "reactor";
   point.connections = connections;
   point.calls =
       static_cast<std::uint64_t>(active) * static_cast<std::uint64_t>(calls_per_active);
@@ -665,51 +651,31 @@ void run_connections_sweep() {
   corba::raise_nofile_soft_limit(
       static_cast<std::size_t>(3 * conn_counts.back() + 256));
 
-  std::printf("\nM-conn — server receive path: connections x mode\n");
+  std::printf("\nM-conn — server receive path: connections\n");
   std::printf("%-10s %12s %10s %12s %10s %10s %13s\n", "mode", "connections",
               "calls", "rps", "p50_us", "p99_us", "server_threads");
   bench::print_rule(82);
 
-  std::vector<ConnPoint> points;
   std::vector<bench::JsonRow> rows;
-  for (const bool reactor : {true, false}) {
-    for (const int connections : conn_counts) {
-      // Thread-per-connection at thousands of sockets means thousands of
-      // threads; cap the baseline and let the reactor column carry the tail.
-      if (!reactor && connections > 1024) continue;
-      const ConnPoint p =
-          run_conn_point(reactor, connections, active, calls_per_active);
-      std::printf("%-10s %12d %10llu %12.0f %10.1f %10.1f %13d\n",
-                  p.mode.c_str(), p.connections,
-                  static_cast<unsigned long long>(p.calls), p.throughput_rps,
-                  p.p50_s * 1e6, p.p99_s * 1e6, p.peak_threads);
-      rows.push_back({bench::jstr("mode", p.mode),
-                      bench::jint("connections", std::uint64_t(p.connections)),
-                      bench::jint("calls", p.calls),
-                      bench::jnum("throughput_rps", p.throughput_rps),
-                      bench::jnum("p50_s", p.p50_s),
-                      bench::jnum("p99_s", p.p99_s),
-                      bench::jint("peak_threads",
-                                  std::uint64_t(std::max(p.peak_threads, 0)))});
-      points.push_back(p);
-    }
+  ConnPoint tail;
+  for (const int connections : conn_counts) {
+    const ConnPoint p = run_conn_point(connections, active, calls_per_active);
+    std::printf("%-10s %12d %10llu %12.0f %10.1f %10.1f %13d\n",
+                p.mode.c_str(), p.connections,
+                static_cast<unsigned long long>(p.calls), p.throughput_rps,
+                p.p50_s * 1e6, p.p99_s * 1e6, p.peak_threads);
+    rows.push_back({bench::jstr("mode", p.mode),
+                    bench::jint("connections", std::uint64_t(p.connections)),
+                    bench::jint("calls", p.calls),
+                    bench::jnum("throughput_rps", p.throughput_rps),
+                    bench::jnum("p50_s", p.p50_s),
+                    bench::jnum("p99_s", p.p99_s),
+                    bench::jint("peak_threads",
+                                std::uint64_t(std::max(p.peak_threads, 0)))});
+    tail = p;
   }
-
-  auto find = [&](const std::string& mode, int connections) -> const ConnPoint* {
-    for (const ConnPoint& p : points)
-      if (p.mode == mode && p.connections == connections) return &p;
-    return nullptr;
-  };
-  const ConnPoint* reactor64 = find("reactor", 64);
-  const ConnPoint* threaded64 = find("threaded", 64);
-  if (reactor64 && threaded64)
-    std::printf("\nthroughput at 64 connections: %.0f (reactor) vs %.0f "
-                "(threaded) rps\n",
-                reactor64->throughput_rps, threaded64->throughput_rps);
-  const ConnPoint* tail = find("reactor", conn_counts.back());
-  if (tail)
-    std::printf("reactor at %d connections: %.0f rps on %d server threads\n",
-                tail->connections, tail->throughput_rps, tail->peak_threads);
+  std::printf("\nreactor at %d connections: %.0f rps on %d server threads\n",
+              tail.connections, tail.throughput_rps, tail.peak_threads);
   bench::write_bench_json("BENCH_reactor.json", "micro_orb_connections", rows);
 }
 

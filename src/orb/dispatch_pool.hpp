@@ -1,7 +1,7 @@
 // Server-side dispatch thread pool.
 //
-// Decouples socket reads from servant execution: a receive loop per
-// connection enqueues decoded requests and N workers dispatch them, so one
+// Decouples socket reads from servant execution: the server's receive side
+// (reactor.hpp) enqueues decoded requests and N workers dispatch them, so one
 // slow method no longer blocks every other request behind it (head-of-line
 // blocking) — only requests for the *same* object wait on each other.
 //
@@ -13,11 +13,11 @@
 // unconstrained, which is why replies carry request ids (the client transport
 // demuxes them; see tcp_transport.hpp).
 //
-// The queue is bounded: submit() blocks when `queue_limit` requests are
-// in the pool (queued + executing).  Blocking the connection's receive loop
-// is deliberate — it stops reading the socket, TCP flow control pushes back
-// to the sender, and an overloaded server degrades into backpressure instead
-// of unbounded memory growth.
+// The queue is bounded: submit() blocks, and try_submit() bounces, when
+// `queue_limit` requests are in the pool (queued + executing).  The reactor
+// then stops reading the submitting connection — TCP flow control pushes
+// back to the sender, and an overloaded server degrades into backpressure
+// instead of unbounded memory growth.
 #pragma once
 
 #include <condition_variable>

@@ -48,6 +48,9 @@ MessageHeader MessageHeader::decode(std::span<const std::byte> bytes) {
                   (static_cast<std::uint32_t>(bytes[9]) << 8) |
                   (static_cast<std::uint32_t>(bytes[10]) << 16) |
                   (static_cast<std::uint32_t>(bytes[11]) << 24);
+  if (h.body_length > kMaxBodyLength)
+    throw MARSHAL("message body length " + std::to_string(h.body_length) +
+                  " exceeds the protocol maximum");
   return h;
 }
 

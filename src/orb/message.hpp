@@ -40,6 +40,11 @@ struct MessageHeader {
   static constexpr std::uint8_t kVersionMajor = 1;
   static constexpr std::uint8_t kVersionMinor = 0;
   static constexpr std::size_t kEncodedSize = 12;
+  /// Largest body a peer may announce.  Receivers size their buffers from
+  /// the header before any body byte arrives, so without a cap one hostile
+  /// 12-byte header could make them zero-fill up to 4 GiB.  64 MiB sits far
+  /// above any message the runtime sends (checkpoint states included).
+  static constexpr std::uint32_t kMaxBodyLength = 64u * 1024 * 1024;
 
   MessageType type = MessageType::request;
   ByteOrder byte_order = native_byte_order();
@@ -47,7 +52,8 @@ struct MessageHeader {
 
   /// Encodes into exactly kEncodedSize bytes.
   std::array<std::byte, kEncodedSize> encode() const;
-  /// Throws MARSHAL on bad magic/version.
+  /// Throws MARSHAL on bad magic/version/order/type and on a body_length
+  /// above kMaxBodyLength.
   static MessageHeader decode(std::span<const std::byte> bytes);
 };
 

@@ -125,7 +125,7 @@ void ObjectAdapter::dispatch_async(RequestMessage request,
                                    DispatchPool::Completion done) {
   // pool_ is written once under pool_mu_ before any endpoint thread runs and
   // never reset, so the lock-free read here is race-free in practice; the
-  // pool outlives every connection loop (stop_dispatch_pool only drains).
+  // pool outlives every reactor loop (stop_dispatch_pool only drains).
   if (DispatchPool* pool = pool_.get()) {
     pool->submit(std::move(request), std::move(done));
     return;

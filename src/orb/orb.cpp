@@ -106,7 +106,6 @@ void ORB::start() {
   profile.adapter_id = config_.adapter_id;
   if (config_.enable_tcp) {
     TcpServerOptions server_options;
-    server_options.reactor = config_.reactor;
     server_options.io_threads = config_.io_threads;
     server_options.listen_backlog = config_.listen_backlog;
     server_options.idle_timeout_s = config_.server_idle_timeout_s;

@@ -92,32 +92,30 @@ struct OrbConfig {
   /// virtual timings (the chaos tests' trace-determinism contract).
   std::uint64_t adapter_id = 0;
 
-  /// Enable a real TCP endpoint (receive loop per connection; servant
-  /// execution on the adapter's dispatch pool).
+  /// Enable a real TCP endpoint: `io_threads` reactor event loops receive
+  /// every connection, and servants execute on the adapter's dispatch pool,
+  /// so connection count costs no threads.
   bool enable_tcp = false;
   std::string tcp_host = "127.0.0.1";
   std::uint16_t tcp_port = 0;  ///< 0 selects an ephemeral port
 
-  /// TCP client transport tuning: multiplexing on/off, request timeout,
-  /// idle-connection TTL and the soft socket cap (see TcpClientOptions).
+  /// TCP client transport tuning: request timeout, idle-connection TTL, the
+  /// soft socket cap and sessions (see TcpClientOptions).
   TcpClientOptions tcp_client{};
 
   /// Worker threads executing TCP requests (FIFO per object key).
-  /// 0 dispatches inline on each connection's receive thread — the old
-  /// thread-per-connection behaviour.
+  /// 0 dispatches inline on the reactor's I/O thread: no thread handoff per
+  /// request, but a slow servant stalls every connection on that loop.
   std::size_t dispatch_threads = 4;
-  /// Requests queued + executing before receive loops block (backpressure).
+  /// Requests queued + executing before the reactor stops reading the
+  /// submitting connections (backpressure).
   std::size_t dispatch_queue_limit = 1024;
 
-  /// Server receive mode.  true (default): epoll reactor — `io_threads`
-  /// event loops serve every connection on a fixed thread budget.  false:
-  /// legacy thread-per-connection receive loops (bench baseline).
-  bool reactor = true;
   /// Reactor event-loop threads (the whole receive-side thread budget).
   std::size_t io_threads = 2;
   /// listen(2) backlog for the server endpoint.
   int listen_backlog = 256;
-  /// Reactor-only: harvest connections idle for this long (seconds; 0 =
+  /// Harvest server connections idle for this long (seconds; 0 =
   /// never).  Must comfortably exceed the slowest expected call.
   double server_idle_timeout_s = 0;
 };

@@ -5,6 +5,7 @@
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/timerfd.h>
 #include <unistd.h>
@@ -18,13 +19,13 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "orb/exceptions.hpp"
 #include "orb/log.hpp"
 #include "orb/object_adapter.hpp"
-#include "orb/server_conn.hpp"
 
 namespace corba {
 
@@ -81,28 +82,36 @@ constexpr std::size_t kCompactThreshold = 64 * 1024;
 /// One reactor-owned server connection.  Read-side state (buffer, session,
 /// stalled request) is touched only by the owning I/O thread; the write side
 /// (pending-write queue, epoll interest mask) is shared with dispatch-pool
-/// completion threads under `wmu`.
-class ReactorConn final : public ServerConn,
-                          public std::enable_shared_from_this<ReactorConn> {
+/// completion threads under `wmu`.  Completions and session state hold it
+/// shared: the socket stays open until the last queued reply for the
+/// connection has been written (or dropped).
+class ReactorConn final : public std::enable_shared_from_this<ReactorConn> {
  public:
   ReactorConn(int fd, Reactor* reactor, std::size_t loop_index)
       : fd_(fd), reactor_(reactor), loop_index_(loop_index) {}
 
-  ~ReactorConn() override {
+  ~ReactorConn() {
     if (fd_ >= 0) ::close(fd_);
   }
 
   ReactorConn(const ReactorConn&) = delete;
   ReactorConn& operator=(const ReactorConn&) = delete;
 
-  void send_frame_bytes(std::vector<std::byte> bytes) noexcept override {
+  /// Queues one fully encoded frame (header included) and writes as much as
+  /// the socket takes.  Frames queued under a common lock (the session
+  /// mutex, or any single caller) reach the wire in call order.  Marks the
+  /// connection dead on failure instead of throwing — completions run on
+  /// dispatch-pool threads where there is nobody to catch.
+  void send_frame_bytes(std::vector<std::byte> bytes) noexcept {
     std::lock_guard lock(wmu_);
     if (dead_.load(std::memory_order_acquire)) return;
     wq_.push_back(std::move(bytes));
     flush_locked();
   }
 
-  void write_reply(const ReplyMessage& reply) noexcept override {
+  /// Encodes and queues a sessionless reply.  (The session path always goes
+  /// through write_session_reply, which pre-encodes for the replay buffer.)
+  void write_reply(const ReplyMessage& reply) noexcept {
     try {
       CdrOutputStream body;
       reply.encode_body(body);
@@ -112,7 +121,9 @@ class ReactorConn final : public ServerConn,
     }
   }
 
-  bool is_dead() const noexcept override {
+  /// True once a write failed or the peer vanished; a dead connection
+  /// silently drops further writes.
+  bool is_dead() const noexcept {
     return dead_.load(std::memory_order_acquire);
   }
 
@@ -194,8 +205,9 @@ class ReactorConn final : public ServerConn,
   std::shared_ptr<ServerSession> session_;
   std::optional<StalledJob> stalled_;
   /// Set after answering an unknown message type with message_error: any
-  /// further input is read (so HUP/EOF is still observed) but discarded,
-  /// matching the legacy loop, which stops processing after a bad frame.
+  /// further input is read (so HUP/EOF is still observed) but discarded —
+  /// after a bad frame the stream position can no longer be trusted, so
+  /// nothing behind it may execute.
   bool discard_input_ = false;
 
   // --- write side: shared with completion threads under wmu_ ----------------
@@ -209,6 +221,122 @@ class ReactorConn final : public ServerConn,
   std::atomic<bool> dead_{false};
   std::atomic<double> last_activity_{0.0};
 };
+
+namespace {
+
+/// Stamps session seq/ack on `reply`, buffers the encoded frame for replay,
+/// and writes it to the session's *current* carrier (which may have changed
+/// since the request arrived — a completion finishing after a resume lands
+/// on the new socket), falling back to the connection the request came in
+/// on.  Holding the session mutex across assignment and write keeps reply
+/// wire order equal to reply seq order per session — the client's cumulative
+/// highest-reply bookkeeping (and therefore replay) depends on it.
+void write_session_reply(const std::shared_ptr<ServerSession>& session,
+                         const std::shared_ptr<ReactorConn>& fallback,
+                         ReplyMessage reply) noexcept {
+  try {
+    // Lock order: session->mu, then the connection's write mutex (inside
+    // send_frame_bytes).
+    std::lock_guard slock(session->mu);
+    reply.has_session = true;
+    reply.session_seq = session->next_reply_seq++;
+    reply.session_ack = session->highest_request_seq;
+    CdrOutputStream body;
+    reply.encode_body(body);
+    std::vector<std::byte> frame = encode_frame(MessageType::reply, body);
+    // Buffer before writing: a write failure (or a dead connection) leaves
+    // the frame for the next resume's replay instead of losing the reply.
+    if (session->replies.full()) {
+      session->replies.evict_oldest();
+      session->gapped = true;  // replay can no longer cover the hole
+    }
+    session->replies.append(reply.session_seq, reply.request_id, frame);
+    std::shared_ptr<ReactorConn> connection = session->carrier.lock();
+    if (!connection) connection = fallback;
+    if (!connection || connection->is_dead())
+      return;  // buffered; the replay will deliver it
+    connection->send_frame_bytes(std::move(frame));
+  } catch (...) {
+    // Encoding failed: nothing sensible to do from a completion thread.
+  }
+}
+
+/// Handles one decoded session_hello on `connection`: creates or resumes the
+/// session in `table`, installs `connection` as the session's carrier, and
+/// writes the accept frame plus any replayed replies (all under the session
+/// mutex, so a completing dispatch cannot interleave a fresh reply before
+/// the replayed ones).  Returns the session, or nullptr when the hello was
+/// rejected (unknown/stale id, or a gapped reply buffer made an exactly-once
+/// resume impossible) — the reject accept frame has already been written.
+std::shared_ptr<ServerSession> handle_session_hello(
+    SessionTable& table, const SessionHello& hello,
+    const std::shared_ptr<ReactorConn>& connection) {
+  std::shared_ptr<ServerSession> session =
+      hello.session_id == 0 ? table.create() : table.find(hello.session_id);
+  SessionAccept accept;
+  accept.ok = false;
+  std::size_t replayed = 0;
+  if (session) {
+    std::lock_guard slock(session->mu);
+    if (session->gapped) {
+      session.reset();  // reply buffer has a hole: resume is unsafe
+    } else {
+      accept.ok = true;
+      accept.session_id = session->id;
+      accept.highest_request_seq = session->highest_request_seq;
+      session->carrier = connection;
+      session->replies.ack(hello.highest_reply_seq);
+      // Write accept + replay while still holding session->mu so a
+      // completing dispatch cannot interleave a new reply before the
+      // replayed ones.
+      CdrOutputStream accept_body;
+      accept.encode_body(accept_body);
+      connection->send_frame_bytes(
+          encode_frame(MessageType::session_accept, accept_body));
+      for (const SessionFrame* frame :
+           session->replies.after(hello.highest_reply_seq)) {
+        connection->send_frame_bytes(frame->bytes);
+        ++replayed;
+      }
+    }
+  }
+  if (!accept.ok) {
+    // Unknown/stale session (restart, table cull) or a gapped reply buffer:
+    // an exactly-once resume is impossible — reject and let the client fall
+    // back to the batched-failure path.
+    CdrOutputStream accept_body;
+    accept.encode_body(accept_body);
+    connection->send_frame_bytes(
+        encode_frame(MessageType::session_accept, accept_body));
+  }
+  if (replayed > 0) session_metrics().replayed_replies.inc(replayed);
+  return session;
+}
+
+/// Session bookkeeping for one decoded request: applies the piggybacked
+/// cumulative ack and suppresses replayed duplicates.  Returns false when
+/// the request is a duplicate that must NOT be dispatched again (its reply
+/// reaches the client through the session's reply buffer).
+bool note_session_request(const std::shared_ptr<ServerSession>& session,
+                          const RequestMessage& request) {
+  const auto ctx = extract_session_context(request);
+  if (!ctx) return true;
+  std::lock_guard slock(session->mu);
+  session->replies.ack(ctx->ack);  // piggybacked cumulative ack
+  if (ctx->seq <= session->highest_request_seq) {
+    // Replayed duplicate: the request already executed (or still is).  Its
+    // reply reaches the client through the session's reply buffer — the
+    // hello replay carried it, or the in-flight completion will land on the
+    // resumed connection — so the duplicate is suppressed, never
+    // re-executed.
+    session_metrics().duplicates_suppressed.inc();
+    return false;
+  }
+  session->highest_request_seq = ctx->seq;
+  return true;
+}
+
+}  // namespace
 
 /// Per-I/O-thread state.  `conns`, `stalled` and the deadline wheel belong
 /// to the owning thread; `pending_adds`/`pending_reaps` are the cross-thread
@@ -260,9 +388,9 @@ Reactor::~Reactor() {
 void Reactor::start() {
   if (started_) return;
   started_ = true;
-  // The endpoint's listen socket is created blocking (the legacy accept loop
-  // polls before each accept); the reactor accepts in bursts until EAGAIN,
-  // so the fd itself must be non-blocking or loop 0 would park in accept4.
+  // The endpoint creates its listen socket blocking; the reactor accepts in
+  // bursts until EAGAIN, so the fd itself must be non-blocking or loop 0
+  // would park in accept4.
   const int flags = ::fcntl(listen_fd_, F_GETFL, 0);
   if (flags >= 0) ::fcntl(listen_fd_, F_SETFL, flags | O_NONBLOCK);
   loops_.reserve(options_.io_threads);
@@ -505,10 +633,9 @@ void Reactor::reap_conn(Loop& loop, std::shared_ptr<ReactorConn> conn) {
 /// A reaped connection can hold a parked request whose seq the session has
 /// already noted — the client's post-resume retransmit of that seq is
 /// suppressed as a duplicate, so dropping the job here would lose the call
-/// with no retry (the legacy blocking submit could never drop a noted
-/// request).  Submit it anyway: the completion routes through
-/// write_session_reply, which buffers into the session replay even though
-/// this connection is gone.
+/// with no retry: once noted, a request must execute exactly once.  Submit
+/// it anyway: the completion routes through write_session_reply, which
+/// buffers into the session replay even though this connection is gone.
 void Reactor::salvage_stalled(Loop& loop, ReactorConn& conn) {
   ReactorConn::StalledJob job = std::move(*conn.stalled_);
   conn.stalled_.reset();
@@ -625,10 +752,10 @@ void Reactor::handle_readable(Loop& loop,
     }
   }
   if (eof) {
-    // Orderly close: the receive side is done.  Like the legacy loop, the
-    // socket itself stays open while dispatch-pool completions still hold
-    // the connection — queued replies drain best-effort before the last
-    // reference closes the fd.
+    // Orderly close: the receive side is done.  The socket itself stays open
+    // while dispatch-pool completions still hold the connection — a client
+    // that half-closes after its last request still gets the replies, which
+    // drain best-effort before the last reference closes the fd.
     reap_conn(loop, conn);
   }
 }
@@ -664,8 +791,8 @@ bool Reactor::parse_frames(Loop& loop,
     // COMM_FAILURE, which is exactly what a real ORB produces.
     return false;
   }
-  // After a message_error the legacy loop stops processing input entirely;
-  // discard whatever valid frames were buffered behind the bad one.
+  // After a message_error no further input is processed: discard whatever
+  // valid frames were buffered behind the bad one.
   if (conn->discard_input_) conn->rpos_ = conn->rlen_;
   if (conn->rpos_ == conn->rlen_) {
     conn->rpos_ = conn->rlen_ = 0;
@@ -688,15 +815,13 @@ bool Reactor::handle_frame(Loop& loop,
     case MessageType::session_hello: {
       CdrInputStream in(body, header.byte_order);
       const SessionHello hello = SessionHello::decode_body(in);
-      conn->session_ =
-          server_detail::handle_session_hello(sessions_, hello, conn);
+      conn->session_ = handle_session_hello(sessions_, hello, conn);
       return !conn->is_dead();
     }
     case MessageType::request: {
       CdrInputStream in(body, header.byte_order);
       RequestMessage request = RequestMessage::decode_body(in);
-      if (conn->session_ &&
-          !server_detail::note_session_request(conn->session_, request))
+      if (conn->session_ && !note_session_request(conn->session_, request))
         return true;  // replayed duplicate: suppressed, never re-executed
       return submit_request(loop, conn, std::move(request));
     }
@@ -722,18 +847,17 @@ bool Reactor::submit_request(Loop& loop,
                              RequestMessage request) {
   DispatchPool::Completion done;
   if (request.response_expected) {
-    const std::shared_ptr<ServerConn> carrier = conn;
     if (conn->session_)
-      done = [session = conn->session_, carrier](ReplyMessage reply) {
-        server_detail::write_session_reply(session, carrier, std::move(reply));
+      done = [session = conn->session_, conn](ReplyMessage reply) {
+        write_session_reply(session, conn, std::move(reply));
       };
     else
-      done = [carrier](ReplyMessage reply) { carrier->write_reply(reply); };
+      done = [conn](ReplyMessage reply) { conn->write_reply(reply); };
   }
   DispatchPool* pool = adapter_->dispatch_pool();
   if (pool == nullptr) {
-    // dispatch_threads = 0: inline dispatch on the I/O thread, the
-    // event-driven analogue of the legacy inline-on-receive-thread mode.
+    // dispatch_threads = 0: inline dispatch on the I/O thread — no thread
+    // handoff, but a slow servant stalls every connection on this loop.
     adapter_->dispatch_async(std::move(request), std::move(done));
     return true;
   }
@@ -805,6 +929,28 @@ void Reactor::retry_stalled(Loop& loop) {
       conn->update_interest_locked();
     }
   }
+}
+
+std::size_t raise_nofile_soft_limit(std::size_t want) {
+  rlimit limit{};
+  if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) return 0;
+  const rlim_t target =
+      limit.rlim_max == RLIM_INFINITY
+          ? static_cast<rlim_t>(want)
+          : std::min<rlim_t>(static_cast<rlim_t>(want), limit.rlim_max);
+  if (limit.rlim_cur < target) {
+    rlimit raised = limit;
+    raised.rlim_cur = target;
+    if (::setrlimit(RLIMIT_NOFILE, &raised) == 0) limit = raised;
+  }
+  const auto result = static_cast<std::size_t>(
+      limit.rlim_cur == RLIM_INFINITY ? want : limit.rlim_cur);
+  if (result < want && log::enabled())
+    log::emit(log::Level::warning, "transport",
+              "RLIMIT_NOFILE soft limit " + std::to_string(result) +
+                  " is below the requested " + std::to_string(want) +
+                  "; connection-heavy workloads may hit EMFILE");
+  return result;
 }
 
 }  // namespace corba

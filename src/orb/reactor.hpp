@@ -1,25 +1,23 @@
 // Epoll reactor: the server receive path that serves C10K connections on a
 // fixed thread budget.
 //
-// The legacy receive path (tcp_transport.cpp) spends one blocking thread per
-// accepted connection, so thread count — not CPU — caps how many clients an
-// endpoint can serve.  The reactor replaces it with `io_threads` event
-// loops: accepted sockets are non-blocking, each loop runs epoll_wait over
-// its share of the connections (round-robin assignment at accept), frames
-// are assembled incrementally into per-connection read buffers, and every
-// complete request is handed to the object adapter's bounded DispatchPool
-// exactly as before.  Reply writes are non-blocking too: a write that would
-// block parks its tail in the connection's pending-write queue, drained in
-// FIFO order on EPOLLOUT — per-connection write ordering (which the session
-// layer's reply-seq contract relies on) is preserved because completions
-// enqueue under one mutex.
+// A blocking receive loop per accepted connection would let thread count —
+// not CPU — cap how many clients an endpoint can serve.  The reactor instead
+// runs `io_threads` event loops: accepted sockets are non-blocking, each
+// loop runs epoll_wait over its share of the connections (round-robin
+// assignment at accept), frames are assembled incrementally into
+// per-connection read buffers, and every complete request is handed to the
+// object adapter's bounded DispatchPool.  Reply writes are non-blocking too:
+// a write that would block parks its tail in the connection's pending-write
+// queue, drained in FIFO order on EPOLLOUT — per-connection write ordering
+// (which the session layer's reply-seq contract relies on) is preserved
+// because completions enqueue under one mutex.
 //
 // Back-pressure: when the DispatchPool is at capacity, DispatchPool::
 // try_submit bounces, the loop stops arming EPOLLIN for that connection and
 // stashes the one already-decoded request.  The connection's socket stops
 // being read, kernel flow control pushes back to the client, and server
-// memory stays bounded — the same contract the legacy path got from a
-// blocking submit(), without parking an I/O thread.  The pool's space
+// memory stays bounded without parking an I/O thread.  The pool's space
 // callback rings a per-loop eventfd when capacity frees up; the loop then
 // resubmits, resumes parsing, and re-arms EPOLLIN.
 //
@@ -28,9 +26,11 @@
 // 0) and for backing off the accept loop after EMFILE/ENFILE instead of
 // spinning on a level-triggered listen socket.
 //
-// Semantics parity: sessions, resume/replay, flight-recorder dumps and the
-// batched-failure behaviour are shared with the legacy path through
-// server_conn.hpp — wire bytes are identical in both modes.
+// Sessions: the reactor runs the server half of the resumable-session
+// protocol (session.hpp) — hello/accept, duplicate suppression, and reply
+// buffering for replay onto whichever connection resumes the session.
+// Without a session, a lost connection fails every call on it at once (the
+// batched failure the client transport and the FT layer absorb).
 #pragma once
 
 #include <atomic>
@@ -75,8 +75,7 @@ class Reactor {
 
   /// Wakes and joins every loop, then releases the connections.  Sockets
   /// with replies still queued on dispatch-pool completions stay open until
-  /// the last completion drops its reference (graceful drain, as in the
-  /// legacy path).  Idempotent.
+  /// the last completion drops its reference (graceful drain).  Idempotent.
   void stop();
 
   /// DispatchPool space callback: wakes every loop to retry stalled
@@ -135,5 +134,12 @@ class Reactor {
   bool started_ = false;
   bool stopped_ = false;
 };
+
+/// Raises the process's RLIMIT_NOFILE soft limit toward min(want, hard
+/// limit) and returns the resulting soft limit.  Emits a log warning when
+/// the result is below `want` (a C10K test or bench on a default 1024
+/// ulimit would otherwise fail with confusing EMFILE noise).  Idempotent
+/// and safe to call from any harness.
+std::size_t raise_nofile_soft_limit(std::size_t want);
 
 }  // namespace corba

@@ -24,6 +24,8 @@
 
 namespace corba {
 
+class ReactorConn;
+
 /// Session-layer counters and gauges (shared by the real TCP transport and
 /// the deterministic simulator mirror).
 struct SessionMetrics {
@@ -110,10 +112,9 @@ struct ServerSession {
   /// True once an *unacknowledged* reply was evicted on overflow: the replay
   /// set has a hole, so a resume against this session must be rejected.
   bool gapped = false;
-  /// The transport's current connection for this session (type-erased: the
-  /// endpoint's Connection is private to the transport).  Updated on every
-  /// hello, so completions route replies to the resumed socket.
-  std::weak_ptr<void> carrier;
+  /// The reactor connection currently carrying this session.  Updated on
+  /// every hello, so completions route replies to the resumed socket.
+  std::weak_ptr<ReactorConn> carrier;
 };
 
 /// Endpoint-wide session registry.  Sessions survive connection loss; they

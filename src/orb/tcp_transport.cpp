@@ -17,7 +17,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "orb/exceptions.hpp"
-#include "orb/log.hpp"
 #include "orb/reactor.hpp"
 
 namespace corba {
@@ -174,7 +173,7 @@ void Socket::write_all(std::span<const std::byte> data) {
 }
 
 bool Socket::read_all(std::span<std::byte> data, bool eof_ok,
-                      const std::atomic<bool>* stop, double timeout_s) {
+                      double timeout_s) {
   const auto deadline =
       timeout_s > 0
           ? std::chrono::steady_clock::now() +
@@ -193,7 +192,6 @@ bool Socket::read_all(std::span<std::byte> data, bool eof_ok,
       throw_errno("poll", minor_code::connection_lost,
                   CompletionStatus::completed_maybe);
     }
-    if (stop != nullptr && stop->load(std::memory_order_relaxed)) return false;
     if (pr == 0) continue;
     const ssize_t n = ::recv(fd_, data.data() + read, data.size() - read, 0);
     if (n < 0) {
@@ -229,14 +227,12 @@ void Socket::finish_frame(FrameBuilder& frame) {
 }
 
 bool Socket::recv_frame(MessageHeader& header, std::vector<std::byte>& body,
-                        const std::atomic<bool>* stop, double timeout_s) {
+                        double timeout_s) {
   std::array<std::byte, MessageHeader::kEncodedSize> head_bytes;
-  if (!read_all(head_bytes, /*eof_ok=*/true, stop, timeout_s)) return false;
-  header = MessageHeader::decode(head_bytes);
+  if (!read_all(head_bytes, /*eof_ok=*/true, timeout_s)) return false;
+  header = MessageHeader::decode(head_bytes);  // bounds body_length
   body.resize(header.body_length);
-  if (header.body_length > 0) {
-    if (!read_all(body, /*eof_ok=*/false, stop, timeout_s)) return false;
-  }
+  if (header.body_length > 0) read_all(body, /*eof_ok=*/false, timeout_s);
   return true;
 }
 
@@ -375,7 +371,7 @@ SessionAccept client_handshake(Socket& socket, std::uint64_t session_id,
   socket.send_frame(MessageType::session_hello, hello_body);
   MessageHeader header;
   std::vector<std::byte> body;
-  if (!socket.recv_frame(header, body, nullptr, timeout_s))
+  if (!socket.recv_frame(header, body, timeout_s))
     throw COMM_FAILURE("connection closed during session handshake",
                        minor_code::connection_lost,
                        CompletionStatus::completed_no);
@@ -955,8 +951,8 @@ void TcpClientTransport::drop_connection(
   dead->close();
 }
 
-std::unique_ptr<PendingReply> TcpClientTransport::send_multiplexed(
-    const IOR& target, const RequestMessage& request) {
+std::unique_ptr<PendingReply> TcpClientTransport::send(const IOR& target,
+                                                       RequestMessage request) {
   std::string trace_detail;
   if (obs::tracing_enabled())
     trace_detail = request.operation + " -> " + target.host + ":" +
@@ -983,130 +979,17 @@ std::unique_ptr<PendingReply> TcpClientTransport::send_multiplexed(
   }
 }
 
-namespace {
-
-/// Legacy deferred TCP reply: the round trip runs on a helper thread (one
-/// thread per deferred call — the cost the multiplexed mode removes).
-class TcpPendingReply final : public PendingReply {
- public:
-  explicit TcpPendingReply(std::function<ReplyMessage()> round_trip)
-      : future_(std::async(std::launch::async, std::move(round_trip))) {}
-
-  bool ready() override {
-    return future_.wait_for(std::chrono::seconds(0)) ==
-           std::future_status::ready;
-  }
-
-  ReplyMessage get() override { return future_.get(); }
-
- private:
-  std::future<ReplyMessage> future_;
-};
-
-}  // namespace
-
-std::unique_ptr<PendingReply> TcpClientTransport::send(const IOR& target,
-                                                       RequestMessage request) {
-  if (options_.multiplex) return send_multiplexed(target, request);
-  return std::make_unique<TcpPendingReply>(
-      [this, target, request = std::move(request)]() {
-        return round_trip(target, request);
-      });
-}
-
 ReplyMessage TcpClientTransport::invoke(const IOR& target,
                                         RequestMessage request) {
-  if (options_.multiplex) return send_multiplexed(target, request)->get();
-  return round_trip(target, request);
-}
-
-// --- legacy serialized client (multiplex = false; benchmark baseline) -------
-
-ReplyMessage TcpClientTransport::round_trip(const IOR& target,
-                                            const RequestMessage& request) {
-  std::string trace_detail;
-  if (obs::tracing_enabled())
-    trace_detail = request.operation + " -> " + target.host + ":" +
-                   std::to_string(target.port);
-  obs::Span span("transport.roundtrip", trace_detail);
-  Socket socket = checkout(target.host, target.port);
-  FrameBuilder frame = socket.start_frame(MessageType::request,
-                                          request.encoded_size_estimate());
-  request.encode_body(frame.body());
-  socket.finish_frame(frame);
-  if (!request.response_expected) {
-    checkin(target.host, target.port, std::move(socket));
-    return ReplyMessage::make_result(request.request_id, {});
-  }
-  MessageHeader header;
-  std::vector<std::byte> reply_bytes;
-  if (!socket.recv_frame(header, reply_bytes, nullptr,
-                         options_.request_timeout_s))
-    throw COMM_FAILURE("server closed connection", minor_code::connection_lost,
-                       CompletionStatus::completed_maybe);
-  if (header.type != MessageType::reply)
-    throw MARSHAL("unexpected message type in reply");
-  CdrInputStream in(reply_bytes, header.byte_order);
-  ReplyMessage reply = ReplyMessage::decode_body(in);
-  checkin(target.host, target.port, std::move(socket));
-  return reply;
-}
-
-Socket TcpClientTransport::checkout(const std::string& host,
-                                    std::uint16_t port) {
-  {
-    std::lock_guard lock(pool_mu_);
-    auto it = pool_.find({host, port});
-    if (it != pool_.end() && !it->second.empty()) {
-      Socket socket = std::move(it->second.back());
-      it->second.pop_back();
-      return socket;
-    }
-  }
-  return Socket::connect(host, port, options_.connect_timeout_s);
-}
-
-void TcpClientTransport::checkin(const std::string& host, std::uint16_t port,
-                                 Socket socket) {
-  constexpr std::size_t kMaxPooledPerTarget = 8;
-  std::lock_guard lock(pool_mu_);
-  auto& sockets = pool_[{host, port}];
-  if (sockets.size() < kMaxPooledPerTarget) sockets.push_back(std::move(socket));
+  return send(target, std::move(request))->get();
 }
 
 // --- server -----------------------------------------------------------------
 
-void TcpServerEndpoint::Connection::write_reply(
-    const ReplyMessage& reply) noexcept {
-  std::lock_guard lock(write_mu);
-  if (dead.load(std::memory_order_acquire)) return;
-  try {
-    FrameBuilder frame =
-        socket.start_frame(MessageType::reply, reply.encoded_size_estimate());
-    reply.encode_body(frame.body());
-    socket.finish_frame(frame);
-  } catch (...) {
-    // Peer is gone; let the receive loop notice and wind the connection
-    // down.  Never close the fd from a writer thread.
-    dead.store(true, std::memory_order_release);
-  }
-}
-
-void TcpServerEndpoint::Connection::send_frame_bytes(
-    std::vector<std::byte> bytes) noexcept {
-  std::lock_guard lock(write_mu);
-  if (dead.load(std::memory_order_acquire)) return;
-  try {
-    socket.send_bytes(bytes);
-  } catch (...) {
-    dead.store(true, std::memory_order_release);
-  }
-}
-
 TcpServerEndpoint::TcpServerEndpoint(const std::string& host,
                                      std::uint16_t port,
                                      TcpServerOptions options)
-    : host_(host), options_(options) {
+    : options_(options) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0)
     throw_errno("socket", minor_code::connect_failed,
@@ -1146,19 +1029,15 @@ TcpServerEndpoint::~TcpServerEndpoint() { stop(); }
 
 void TcpServerEndpoint::start(std::shared_ptr<ObjectAdapter> adapter) {
   adapter_ = std::move(adapter);
-  if (options_.reactor) {
-    reactor_ = std::make_unique<Reactor>(
-        listen_fd_, adapter_, sessions_,
-        ReactorOptions{options_.io_threads, options_.idle_timeout_s});
-    // Back-pressure seam: a full pool makes the reactor stop reading the
-    // stalled connections; this callback wakes it once capacity frees up.
-    if (DispatchPool* pool = adapter_->dispatch_pool())
-      pool->set_space_callback(
-          [reactor = reactor_.get()] { reactor->notify_pool_space(); });
-    reactor_->start();
-    return;
-  }
-  acceptor_ = std::thread([this] { accept_loop(); });
+  reactor_ = std::make_unique<Reactor>(
+      listen_fd_, adapter_, sessions_,
+      ReactorOptions{options_.io_threads, options_.idle_timeout_s});
+  // Back-pressure seam: a full pool makes the reactor stop reading the
+  // stalled connections; this callback wakes it once capacity frees up.
+  if (DispatchPool* pool = adapter_->dispatch_pool())
+    pool->set_space_callback(
+        [reactor = reactor_.get()] { reactor->notify_pool_space(); });
+  reactor_->start();
 }
 
 void TcpServerEndpoint::stop() {
@@ -1169,105 +1048,9 @@ void TcpServerEndpoint::stop() {
       if (DispatchPool* pool = adapter_->dispatch_pool())
         pool->set_space_callback(nullptr);
   }
-  if (acceptor_.joinable()) acceptor_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
-  }
-  std::vector<std::thread> workers;
-  {
-    std::lock_guard lock(workers_mu_);
-    workers.swap(workers_);
-  }
-  for (auto& worker : workers)
-    if (worker.joinable()) worker.join();
-}
-
-void TcpServerEndpoint::accept_loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int pr = ::poll(&pfd, 1, kPollIntervalMs);
-    if (pr <= 0) continue;
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EMFILE || errno == ENFILE)
-        // Out of file descriptors: drop this client and keep accepting —
-        // the poll interval above is the natural backoff.  Exiting the
-        // loop would turn a transient fd shortage into a dead endpoint.
-        log::emit(log::Level::warning, "transport",
-                  "accept failed (out of file descriptors); retrying");
-      continue;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard lock(workers_mu_);
-    if (stopping_.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      break;
-    }
-    auto connection = std::make_shared<Connection>(Socket(fd));
-    mux_metrics().connections.add(1);
-    workers_.emplace_back([this, connection = std::move(connection)]() mutable {
-      connection_loop(std::move(connection));
-      mux_metrics().connections.add(-1);
-    });
-  }
-}
-
-void TcpServerEndpoint::connection_loop(std::shared_ptr<Connection> connection) {
-  // Receive loop: read and decode only.  Servant execution happens on the
-  // adapter's dispatch pool (FIFO per object key); completions write replies
-  // back under the connection's write mutex, in whatever order dispatch
-  // finishes.  The completion's shared_ptr keeps the socket open until the
-  // last queued reply for this connection has been written.
-  MessageHeader header;
-  std::vector<std::byte> body;
-  std::shared_ptr<ServerSession> session;
-  while (!stopping_.load(std::memory_order_relaxed) &&
-         !connection->dead.load(std::memory_order_acquire)) {
-    try {
-      if (!connection->socket.recv_frame(header, body, &stopping_)) return;
-      if (header.type == MessageType::close_connection) return;
-      if (header.type == MessageType::session_hello) {
-        CdrInputStream in(body, header.byte_order);
-        const SessionHello hello = SessionHello::decode_body(in);
-        // Shared with the reactor path: accept/reject + replay are written
-        // under the session mutex through the ServerConn seam, so both
-        // modes produce identical wire behaviour.
-        session = server_detail::handle_session_hello(sessions_, hello,
-                                                      connection);
-        continue;
-      }
-      if (header.type != MessageType::request) {
-        std::lock_guard lock(connection->write_mu);
-        CdrOutputStream empty;
-        connection->socket.send_frame(MessageType::message_error, empty);
-        return;
-      }
-      CdrInputStream in(body, header.byte_order);
-      RequestMessage request = RequestMessage::decode_body(in);
-      if (session && !server_detail::note_session_request(session, request))
-        continue;  // replayed duplicate: suppressed, never re-executed
-      DispatchPool::Completion done;
-      if (request.response_expected) {
-        const std::shared_ptr<ServerConn> carrier = connection;
-        if (session)
-          done = [session, carrier](ReplyMessage reply) {
-            server_detail::write_session_reply(session, carrier,
-                                               std::move(reply));
-          };
-        else
-          done = [carrier](ReplyMessage reply) { carrier->write_reply(reply); };
-      }
-      // May block when the pool is at capacity: the receive loop then stops
-      // reading and TCP flow control pushes back to the client (bounded
-      // server memory under overload).
-      adapter_->dispatch_async(std::move(request), std::move(done));
-    } catch (const Exception&) {
-      // Framing/marshal error on this connection: drop it.  The client sees
-      // COMM_FAILURE, which is exactly what a real ORB produces.
-      return;
-    }
   }
 }
 

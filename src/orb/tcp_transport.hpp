@@ -11,44 +11,35 @@
 // waiters and promoting a follower to leader when its own reply arrives.  A
 // lone synchronous caller therefore reads its own reply directly, with the
 // same syscall profile (and latency) as a dedicated per-call socket, while
-// deep pipelines still pay only one thread wakeup per reply.  A
-// connection-level failure fails every in-flight call on that connection
-// with COMM_FAILURE/COMPLETED_MAYBE — the fault-tolerance layer's recovery
-// path is built to absorb such batched failures.  The legacy serialized mode
-// (a pool checkout per call, one outstanding request per socket, a helper
-// thread per deferred send) is kept behind TcpClientOptions::multiplex =
-// false as the benchmark baseline.
+// deep pipelines still pay only one thread wakeup per reply, and a deferred
+// request costs no thread at all.  A connection-level failure fails every
+// in-flight call on that connection with COMM_FAILURE/COMPLETED_MAYBE — the
+// fault-tolerance layer's recovery path is built to absorb such batched
+// failures.
 //
-// Server side: two receive paths behind one semantics seam (server_conn.hpp).
-// The default is the epoll reactor (reactor.hpp): a fixed set of
+// Server side: the epoll reactor (reactor.hpp) — a fixed set of
 // TcpServerOptions::io_threads event loops serving any number of
-// non-blocking connections, frames assembled incrementally and handed to
-// the object adapter's bounded dispatch thread pool (dispatch_pool.hpp).
-// The legacy path (reactor = false; bench baseline) spends an acceptor
-// thread plus one blocking *receive loop* per connection.  In both modes
-// the receive side only reads and decodes frames; servant execution happens
-// on the dispatch pool, whose completions write replies back — possibly out
-// of order — serialized per connection.  Requests for one object stay FIFO;
-// requests for different objects and connections no longer block each
-// other.
+// non-blocking connections, so thread count no longer caps how many clients
+// an endpoint holds.  Frames are assembled incrementally and handed to the
+// object adapter's bounded dispatch thread pool (dispatch_pool.hpp); the
+// receive side only reads and decodes, servant execution happens on the
+// pool, whose completions write replies back — possibly out of order —
+// serialized per connection.  Requests for one object stay FIFO; requests
+// for different objects and connections do not block each other.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "orb/server_conn.hpp"
 #include "orb/session.hpp"
 #include "orb/transport.hpp"
 
@@ -92,11 +83,9 @@ class Socket {
   void finish_frame(FrameBuilder& frame);
 
   /// Reads one frame.  Returns false on orderly peer close before a header;
-  /// throws COMM_FAILURE on mid-frame errors and TIMEOUT when `timeout_s`
-  /// (> 0) elapses first.  `stop` (optional) aborts the wait and returns
-  /// false when set.
+  /// throws COMM_FAILURE on mid-frame errors, MARSHAL on a bad header, and
+  /// TIMEOUT when `timeout_s` (> 0) elapses first.
   bool recv_frame(MessageHeader& header, std::vector<std::byte>& body,
-                  const std::atomic<bool>* stop = nullptr,
                   double timeout_s = 0);
 
   /// Polls for readability for up to `timeout_ms` (0 = just check).  Throws
@@ -106,8 +95,7 @@ class Socket {
 
  private:
   void write_all(std::span<const std::byte> data);
-  bool read_all(std::span<std::byte> data, bool eof_ok,
-                const std::atomic<bool>* stop, double timeout_s);
+  bool read_all(std::span<std::byte> data, bool eof_ok, double timeout_s);
 
   int fd_ = -1;
   /// Recycled through start_frame/finish_frame; capacity follows the
@@ -118,14 +106,10 @@ class Socket {
 /// Client-transport tuning.
 struct TcpClientOptions {
   /// Bounds the wait for each reply (0 = unbounded).  Expiry raises
-  /// TIMEOUT/COMPLETED_MAYBE; in multiplexed mode the timed-out call is
-  /// abandoned (its late reply is discarded) but the connection — and every
-  /// other in-flight call on it — lives on.
+  /// TIMEOUT/COMPLETED_MAYBE; the timed-out call is abandoned (its late
+  /// reply is discarded) but the connection — and every other in-flight
+  /// call on it — lives on.
   double request_timeout_s = 0;
-
-  /// One shared pipelined connection per target (the default) vs the legacy
-  /// serialized pool (one outstanding call per socket; benchmark baseline).
-  bool multiplex = true;
 
   /// Idle multiplexed connections (no in-flight calls) older than this are
   /// closed on the next connection lookup; 0 disables the TTL.
@@ -301,14 +285,12 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   std::unique_ptr<RetransmitBuffer> retransmit_;
 };
 
-/// Client transport over TCP (see file comment for the two modes).
+/// Client transport over TCP: one multiplexed connection per target (see
+/// file comment).
 class TcpClientTransport final : public ClientTransport {
  public:
   explicit TcpClientTransport(TcpClientOptions options = {})
       : options_(options) {}
-  /// Back-compat constructor: timeout only.
-  explicit TcpClientTransport(double request_timeout_s)
-      : options_{.request_timeout_s = request_timeout_s} {}
   ~TcpClientTransport();
 
   std::unique_ptr<PendingReply> send(const IOR& target,
@@ -328,29 +310,14 @@ class TcpClientTransport final : public ClientTransport {
   std::shared_ptr<TcpConnection> connection_for(const IOR& target, bool* fresh);
   void drop_connection(const IOR& target,
                        const std::shared_ptr<TcpConnection>& dead);
-  std::unique_ptr<PendingReply> send_multiplexed(const IOR& target,
-                                                 const RequestMessage& request);
-
-  // Legacy serialized mode.
-  ReplyMessage round_trip(const IOR& target, const RequestMessage& request);
-  Socket checkout(const std::string& host, std::uint16_t port);
-  void checkin(const std::string& host, std::uint16_t port, Socket socket);
 
   TcpClientOptions options_;
   mutable std::mutex conn_mu_;
   std::map<TargetKey, std::shared_ptr<TcpConnection>> connections_;
-  std::mutex pool_mu_;  ///< legacy mode socket pool
-  std::map<TargetKey, std::vector<Socket>> pool_;
 };
 
 /// Server-endpoint tuning.
 struct TcpServerOptions {
-  /// Receive path: the epoll reactor (default — io_threads event loops
-  /// serving any number of connections; reactor.hpp) vs the legacy
-  /// thread-per-connection blocking receive loop (the bench baseline).
-  /// Both feed the same dispatch pool with identical wire semantics.
-  bool reactor = true;
-
   /// Reactor event-loop threads (>= 1); the receive-side thread budget.
   std::size_t io_threads = 2;
 
@@ -358,7 +325,7 @@ struct TcpServerOptions {
   /// refuses new SYNs (connect storms deeper than this see timeouts).
   int listen_backlog = 256;
 
-  /// Reactor-only: harvest connections idle (no bytes in, no replies out)
+  /// Harvest connections idle (no bytes in, no replies out)
   /// for this long, in seconds; 0 disables harvesting.
   double idle_timeout_s = 0;
 };
@@ -376,47 +343,18 @@ class TcpServerEndpoint {
 
   std::uint16_t port() const noexcept { return port_; }
 
-  /// Starts the acceptor loop dispatching into `adapter`.
+  /// Starts the reactor's event loops dispatching into `adapter`.
   void start(std::shared_ptr<ObjectAdapter> adapter);
 
   /// Stops accepting, closes connections, joins all threads.  Idempotent.
   void stop();
 
  private:
-  /// Legacy-mode write side of one server connection, shared with the
-  /// dispatch pool's completions (which may run after the receive loop
-  /// exited); the socket closes when the last completion releases it.  The
-  /// reactor mode uses ReactorConn (reactor.cpp) behind the same ServerConn
-  /// seam, so session/reply semantics are identical in both modes.
-  struct Connection final : ServerConn {
-    explicit Connection(Socket s) : socket(std::move(s)) {}
-    Socket socket;
-    std::mutex write_mu;
-    std::atomic<bool> dead{false};
-
-    /// Serialized, best-effort reply write; marks the connection dead on
-    /// failure instead of throwing (the reader loop then stops).
-    void write_reply(const ReplyMessage& reply) noexcept override;
-    /// Serialized, best-effort raw-frame write (session accept/replay and
-    /// buffered-reply frames).
-    void send_frame_bytes(std::vector<std::byte> bytes) noexcept override;
-    bool is_dead() const noexcept override {
-      return dead.load(std::memory_order_acquire);
-    }
-  };
-
-  void accept_loop();
-  void connection_loop(std::shared_ptr<Connection> connection);
-
-  std::string host_;
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;
   TcpServerOptions options_;
   std::shared_ptr<ObjectAdapter> adapter_;
   std::atomic<bool> stopping_{false};
-  std::thread acceptor_;
-  std::mutex workers_mu_;
-  std::vector<std::thread> workers_;
   std::unique_ptr<Reactor> reactor_;
   /// Sessions survive connection loss but die with the endpoint — a
   /// restarted server rejects old session ids (the stale-session path).

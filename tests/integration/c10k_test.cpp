@@ -1,9 +1,9 @@
 // C10K test: the reactor serves thousands of concurrent connections on a
 // fixed two-thread receive budget.  Opens ~2k idle+active connections against
 // one endpoint, checks the process thread count stays flat while they
-// accumulate (the legacy path would add one thread per connection), drives
-// calls over a sample of them plus a sessions-enabled client, and verifies
-// every reply lands exactly once.
+// accumulate (holding a connection must cost no server thread), drives calls
+// over a sample of them plus a sessions-enabled client, and verifies every
+// reply lands exactly once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,7 @@
 #include "orb/exceptions.hpp"
 #include "orb/message.hpp"
 #include "orb/orb.hpp"
-#include "orb/server_conn.hpp"
+#include "orb/reactor.hpp"
 #include "orb/tcp_transport.hpp"
 
 namespace rt {
@@ -62,7 +62,7 @@ std::vector<std::byte> encode_add(const IOR& target, std::uint64_t id,
 std::int32_t recv_add_reply(Socket& socket, std::uint64_t expect_id) {
   MessageHeader header;
   std::vector<std::byte> body;
-  if (!socket.recv_frame(header, body, nullptr, 30.0))
+  if (!socket.recv_frame(header, body, 30.0))
     throw COMM_FAILURE("server closed a live c10k connection");
   CdrInputStream in(body, header.byte_order);
   const ReplyMessage reply = ReplyMessage::decode_body(in);

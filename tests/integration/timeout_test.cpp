@@ -142,7 +142,8 @@ TEST(TcpTimeoutTest, HungTcpServerRaisesTimeout) {
   auto server = corba::ORB::init({.endpoint_name = "s", .enable_tcp = true});
   const corba::ObjectRef ref = server->activate(std::make_shared<Sleeper>());
 
-  corba::TcpClientTransport transport(/*request_timeout_s=*/0.15);
+  corba::TcpClientTransport transport(
+      corba::TcpClientOptions{.request_timeout_s = 0.15});
   corba::RequestMessage request;
   request.request_id = 1;
   request.object_key = ref.ior().key;

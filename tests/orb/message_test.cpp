@@ -43,6 +43,19 @@ TEST(MessageHeader, RejectsBadMagicVersionTypeOrder) {
   EXPECT_THROW(MessageHeader::decode(std::span(good).subspan(0, 5)), MARSHAL);
 }
 
+TEST(MessageHeader, RejectsBodyLengthAboveProtocolMaximum) {
+  // Receivers size their body buffer from this field before any body byte
+  // arrives, so an oversized length is refused at decode time.
+  MessageHeader h;
+  h.body_length = MessageHeader::kMaxBodyLength;
+  EXPECT_EQ(MessageHeader::decode(h.encode()).body_length,
+            MessageHeader::kMaxBodyLength);
+  h.body_length = MessageHeader::kMaxBodyLength + 1;
+  EXPECT_THROW(MessageHeader::decode(h.encode()), MARSHAL);
+  h.body_length = 0xFFFFFFFFu;
+  EXPECT_THROW(MessageHeader::decode(h.encode()), MARSHAL);
+}
+
 RequestMessage sample_request() {
   RequestMessage req;
   req.request_id = 77;

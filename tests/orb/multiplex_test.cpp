@@ -253,17 +253,6 @@ TEST_F(MultiplexTest, SocketCapEvictsIdleConnections) {
   EXPECT_EQ(reply.result_or_throw().as_i32(), 42);
 }
 
-TEST_F(MultiplexTest, SerializedModeStillWorks) {
-  TcpClientTransport transport(TcpClientOptions{.multiplex = false});
-  const ReplyMessage reply = transport.invoke(
-      target_.ior(), make_request(target_.ior(), 1, 40, 2));
-  EXPECT_EQ(reply.result_or_throw().as_i32(), 42);
-  auto pending =
-      transport.send(target_.ior(), make_request(target_.ior(), 2, 1, 2));
-  EXPECT_EQ(pending->get().result_or_throw().as_i32(), 3);
-  EXPECT_EQ(transport.connection_count(), 0u);  // mux table unused
-}
-
 TEST_F(MultiplexTest, OrbStackPipelinesThroughSharedConnection) {
   // End-to-end through the ORB/DII stack: many client threads, one target
   // ORB — the process still holds a single multiplexed connection.

@@ -1,9 +1,9 @@
 // Reactor receive-path tests: incremental frame assembly (byte-dribbled and
-// interleaved partial frames), loss of a frame mid-assembly, partial reply
-// writes drained on EPOLLOUT against a slow reader, dispatch-queue
-// back-pressure (stalled connections resume instead of dropping requests),
-// idle-connection harvesting, and the legacy thread-per-connection mode kept
-// behind OrbConfig::reactor = false.
+// interleaved partial frames), loss of a frame mid-assembly, a hostile frame
+// length, partial reply writes drained on EPOLLOUT against a slow reader,
+// dispatch-queue back-pressure (stalled connections resume instead of
+// dropping requests), idle-connection harvesting, sessions over the reactor,
+// and endpoint restart on the same port.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -29,7 +29,6 @@ namespace {
 
 using namespace std::chrono_literals;
 using corbaft_test::CalcServant;
-using corbaft_test::CalcStub;
 
 std::uint64_t counter_value(const char* name) {
   return obs::MetricsRegistry::global().counter(name).value();
@@ -54,7 +53,7 @@ std::vector<std::byte> encode_request(const RequestMessage& req) {
 ReplyMessage recv_reply(Socket& socket, double timeout_s = 10.0) {
   MessageHeader header;
   std::vector<std::byte> body;
-  if (!socket.recv_frame(header, body, nullptr, timeout_s))
+  if (!socket.recv_frame(header, body, timeout_s))
     throw COMM_FAILURE("peer closed while a reply was expected");
   CdrInputStream in(body, header.byte_order);
   return ReplyMessage::decode_body(in);
@@ -147,6 +146,24 @@ TEST_F(ReactorTest, FrameLostMidAssemblyDoesNotWedgeTheServer) {
   Socket socket = Socket::connect("127.0.0.1", server_->tcp_port());
   socket.send_bytes(encode_request(make_add_request(target_.ior(), 4, 2, 3)));
   EXPECT_EQ(recv_reply(socket).result_or_throw().as_i32(), 5);
+}
+
+TEST_F(ReactorTest, HostileFrameLengthDropsOnlyThatConnection) {
+  // A header announcing a 4 GiB body must not make the server size a buffer
+  // for it: the frame is rejected as MARSHAL, that connection is dropped,
+  // and the endpoint keeps serving fresh connections.
+  MessageHeader hostile;
+  hostile.body_length = 0xFFFFFFFFu;
+  Socket socket = Socket::connect("127.0.0.1", server_->tcp_port());
+  socket.send_bytes(hostile.encode());
+  MessageHeader header;
+  std::vector<std::byte> body;
+  EXPECT_FALSE(socket.recv_frame(header, body, 5.0))
+      << "server must close the connection after a hostile frame length";
+
+  Socket fresh = Socket::connect("127.0.0.1", server_->tcp_port());
+  fresh.send_bytes(encode_request(make_add_request(target_.ior(), 9, 4, 5)));
+  EXPECT_EQ(recv_reply(fresh).result_or_throw().as_i32(), 9);
 }
 
 TEST_F(ReactorTest, PipelinedBurstRepliesInOrder) {
@@ -260,7 +277,7 @@ TEST(ReactorBackPressureTest, StalledRequestSurvivesDisconnectViaSessionReplay) 
     socket.send_bytes(encode_frame(MessageType::session_hello, hello_body));
     MessageHeader header;
     std::vector<std::byte> body;
-    ASSERT_TRUE(socket.recv_frame(header, body, nullptr, 5.0));
+    ASSERT_TRUE(socket.recv_frame(header, body, 5.0));
     ASSERT_EQ(header.type, MessageType::session_accept);
     CdrInputStream in(body, header.byte_order);
     const SessionAccept accept = SessionAccept::decode_body(in);
@@ -292,7 +309,7 @@ TEST(ReactorBackPressureTest, StalledRequestSurvivesDisconnectViaSessionReplay) 
   socket.send_bytes(encode_frame(MessageType::session_hello, hello_body));
   MessageHeader header;
   std::vector<std::byte> body;
-  ASSERT_TRUE(socket.recv_frame(header, body, nullptr, 5.0));
+  ASSERT_TRUE(socket.recv_frame(header, body, 5.0));
   ASSERT_EQ(header.type, MessageType::session_accept);
   CdrInputStream in(body, header.byte_order);
   const SessionAccept accept = SessionAccept::decode_body(in);
@@ -311,8 +328,8 @@ TEST(ReactorBackPressureTest, StalledRequestSurvivesDisconnectViaSessionReplay) 
 TEST(ReactorProtocolTest, UnknownMessageTypeStopsProcessingBufferedFrames) {
   // Regression: when the message_error answer to an unexpected frame type
   // had to be queued behind deferred reply writes, the reactor kept parsing
-  // and dispatched valid requests buffered after the bad frame.  The legacy
-  // loop stops processing input after a bad frame; the reactor must match.
+  // and dispatched valid requests buffered after the bad frame.  No input
+  // behind a bad frame may be processed.
   auto server = ORB::init(
       {.endpoint_name = "reactor-badframe", .enable_tcp = true, .io_threads = 1});
   auto servant = std::make_shared<CalcServant>();
@@ -349,9 +366,9 @@ TEST(ReactorProtocolTest, UnknownMessageTypeStopsProcessingBufferedFrames) {
   }
   MessageHeader header;
   std::vector<std::byte> body;
-  ASSERT_TRUE(socket.recv_frame(header, body, nullptr, 10.0));
+  ASSERT_TRUE(socket.recv_frame(header, body, 10.0));
   EXPECT_EQ(header.type, MessageType::message_error);
-  EXPECT_FALSE(socket.recv_frame(header, body, nullptr, 10.0))
+  EXPECT_FALSE(socket.recv_frame(header, body, 10.0))
       << "connection must close after message_error";
   std::this_thread::sleep_for(50ms);
   EXPECT_EQ(servant->calls(), kEchoes)
@@ -375,7 +392,7 @@ TEST(ReactorIdleHarvestTest, IdleConnectionsAreClosedAfterTheTimeout) {
   // server side (recv sees EOF, not a timeout).
   MessageHeader header;
   std::vector<std::byte> body;
-  EXPECT_FALSE(socket.recv_frame(header, body, nullptr, 5.0));
+  EXPECT_FALSE(socket.recv_frame(header, body, 5.0));
   EXPECT_GT(counter_value("transport.tcp.reactor.idle_harvested_total"),
             harvested_before);
 }
@@ -398,25 +415,6 @@ TEST(ReactorSessionTest, SessionsResumeOntoReactorCarrier) {
         transport.invoke(ior, make_add_request(ior, i, static_cast<int>(i), 1));
     EXPECT_EQ(reply.result_or_throw().as_i32(), static_cast<int>(i) + 1);
   }
-}
-
-TEST(ReactorLegacyModeTest, ThreadPerConnectionPathStillServes) {
-  // OrbConfig::reactor = false keeps the blocking receive loops as the bench
-  // baseline; typed calls and sessions behave identically.
-  auto server = ORB::init(
-      {.endpoint_name = "legacy-server", .enable_tcp = true, .reactor = false});
-  auto client = ORB::init({.endpoint_name = "legacy-client",
-                           .enable_tcp = true,
-                           .reactor = false});
-  const ObjectRef target = server->activate(std::make_shared<CalcServant>());
-  CalcStub calc(client->make_ref(target.ior()));
-  EXPECT_EQ(calc.add(40, 2), 42);
-  EXPECT_EQ(calc.echo("legacy"), "legacy");
-
-  TcpClientTransport transport(TcpClientOptions{.enable_sessions = true});
-  const IOR ior = target.ior();
-  const ReplyMessage reply = transport.invoke(ior, make_add_request(ior, 1, 2, 3));
-  EXPECT_EQ(reply.result_or_throw().as_i32(), 5);
 }
 
 TEST(ReactorLifecycleTest, PortReleasedAndRestartableInReactorMode) {

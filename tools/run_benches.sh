@@ -79,8 +79,9 @@ for needle in '"mode": "resume"' '"mode": "recovery"' \
   fi
 done
 
-# The connections sweep must compare both server receive modes.
-for needle in '"mode": "reactor"' '"mode": "threaded"'; do
+# The connections sweep must carry the reactor rows (the only server
+# receive path).
+for needle in '"mode": "reactor"'; do
   if [ -e BENCH_reactor.json ] && ! grep -qF "$needle" BENCH_reactor.json; then
     echo "run_benches.sh: BENCH_reactor.json lacks $needle" >&2
     status=1
