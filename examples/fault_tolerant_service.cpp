@@ -4,18 +4,18 @@
 // migration.  Everything the paper's §3 describes, narrated step by step.
 //
 // Along the way it shows the observability layer in action: a text metrics
-// exporter plus a RecoveryTimeline that records, in virtual-time order,
-// what the fault detector, quarantine and proxy engine did about each
-// injected failure.
+// exporter plus the always-on flight recorder, whose recovery-class events
+// record, in virtual-time order, what the fault detector, quarantine and
+// proxy engine did about each injected failure.
 #include <cstdio>
 
 #include "core/sim_runtime.hpp"
 #include "ft/checkpoint.hpp"
 #include "ft/proxy.hpp"
 #include "ft/request_proxy.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/orbtop.hpp"
-#include "obs/timeline.hpp"
 #include "orb/cdr.hpp"
 #include "sim/work_meter.hpp"
 
@@ -81,10 +81,6 @@ int main() {
   for (int i = 0; i < 3; ++i) cluster.add_host("node" + std::to_string(i), 1e5);
   rt::SimRuntime runtime(cluster, {.winner_stale_after = 2.5, .infra_speed = 1e5});
 
-  // Observability: collect recovery events while the demo runs.  (The
-  // runtime already stamps them with the simulation's virtual clock.)
-  obs::RecoveryTimeline timeline;
-  obs::install_timeline(&timeline);
   runtime.registry()->register_type(
       "Table", [] { return std::make_shared<TableServant>(); });
   const naming::Name name = naming::Name::parse("Table");
@@ -157,11 +153,23 @@ int main() {
               static_cast<unsigned long long>(proxy.checkpoints_taken()),
               static_cast<unsigned long long>(proxy.retries()));
 
-  // What the runtime saw: the full recovery timeline of the three crashes
-  // and the migration, then the text metrics export.
-  obs::install_timeline(nullptr);
-  std::printf("\n--- recovery timeline (virtual seconds) ---\n%s",
-              timeline.to_string().c_str());
+  // What the runtime saw: the recovery events of the three crashes and the
+  // migration (the flight recorder stamps them with the simulation's virtual
+  // clock), then the text metrics export.
+  std::printf("\n--- recovery events (virtual seconds) ---\n");
+  for (const auto& e : obs::FlightRecorder::global().events()) {
+    using obs::FlightEvent;
+    if (e.type != FlightEvent::recovery_step &&
+        e.type != FlightEvent::quarantine_trip &&
+        e.type != FlightEvent::quarantine_release &&
+        e.type != FlightEvent::fault_confirmed &&
+        e.type != FlightEvent::checkpoint_drop)
+      continue;
+    std::printf("[%.9f] %s\n", e.t,
+                obs::describe_flight_event(obs::to_string(e.type), e.subject,
+                                           e.a, e.b, e.detail)
+                    .c_str());
+  }
   std::printf("\n--- metrics (text exporter) ---\n%s",
               obs::to_text(obs::MetricsRegistry::global().snapshot()).c_str());
 

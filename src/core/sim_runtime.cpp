@@ -16,9 +16,9 @@ SimRuntime::SimRuntime(sim::Cluster& cluster, RuntimeOptions options)
     throw corba::BAD_PARAM("SimRuntime requires a non-empty cluster");
 
   // Observability runs on virtual time while this runtime lives: spans and
-  // timeline events are stamped from the cluster's event queue, and span ids
+  // flight events are stamped from the cluster's event queue, and span ids
   // restart from the run's seed — two same-seed runs therefore produce
-  // byte-identical trace and timeline dumps.
+  // byte-identical trace and flight dumps.
   obs_clock_token_ =
       obs::set_clock([&events = cluster_.events()] { return events.now(); });
   obs::set_trace_seed(options_.seed);

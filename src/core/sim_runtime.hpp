@@ -122,7 +122,7 @@ struct RuntimeOptions {
   /// (virtual seconds): every epoch the runtime publishes changed metrics on
   /// the `metrics.delta` topic of the process-global event channel.  The
   /// channel itself is always bound (deferred, virtual-clock delivery), so
-  /// subscribers see flight/session/load/timeline events regardless; this
+  /// subscribers see flight/session/load events regardless; this
   /// option only controls the periodic metrics producer.  Default off: the
   /// paper's Table 1 runs carry no telemetry traffic.
   double metrics_epoch = 0.0;

@@ -2,7 +2,6 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "orb/log.hpp"
 
@@ -146,10 +145,8 @@ bool CheckpointPipeline::try_ship(std::uint64_t version,
         have_acked_ = false;  // unknown store state: next ship re-anchors
         ++failures_;
         pipeline_metrics().failures.inc();
-        obs::timeline_event("pipeline", config_.key,
-                            "dropped checkpoint v" + std::to_string(version) +
-                                " after " + std::to_string(attempt) +
-                                " attempts");
+        obs::flight_report(obs::FlightEvent::checkpoint_drop, config_.key,
+                           version, static_cast<std::uint64_t>(attempt));
         corba::log::emit(corba::log::Level::warning, "ft.pipeline",
                          "async checkpoint " + std::to_string(version) +
                              " of '" + config_.key + "' dropped after " +

@@ -2,8 +2,8 @@
 
 #include <chrono>
 
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
 #include "orb/log.hpp"
 
 namespace ft {
@@ -101,8 +101,8 @@ void FaultDetector::sweep(double now) noexcept {
       if (!confirmed) continue;
       faults_.fetch_add(1, std::memory_order_relaxed);
       faults_detected_counter().inc();
-      obs::timeline_event_at(now, "detector", name.to_string(),
-                             "fault confirmed on " + offer.host);
+      obs::flight_report(obs::FlightEvent::fault_confirmed, name.to_string(),
+                         0, 0, offer.host);
       corba::log::emit(corba::log::Level::warning, "ft.detector",
                        "instance of '" + name.to_string() + "' on " +
                            offer.host + " stopped responding");

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
+#include <cmath>
 #include <thread>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "orb/log.hpp"
 
@@ -15,12 +14,21 @@ namespace ft {
 
 namespace {
 
-// Flight-recorder step tags for recovery_step events (see
-// obs/flight_recorder.hpp).
-constexpr std::uint64_t kStepFailure = 1;
-constexpr std::uint64_t kStepRecover = 2;
-constexpr std::uint64_t kStepRebound = 3;
-constexpr std::uint64_t kStepExhausted = 4;
+using obs::RecoveryStep;
+
+// Records one step of `service`'s recovery as a recovery_step flight event
+// (published live to flight.event subscribers).
+void report(const std::string& service, RecoveryStep step, std::uint64_t b = 0,
+            std::string_view detail = {}) {
+  obs::flight_report(obs::FlightEvent::recovery_step, service,
+                     static_cast<std::uint64_t>(step), b, detail);
+}
+
+// "IDL:omg.org/CORBA/COMM_FAILURE:1.0" -> "COMM_FAILURE".
+std::string_view short_name(std::string_view repo_id) {
+  repo_id.remove_prefix(repo_id.rfind('/') + 1);  // npos + 1 == 0
+  return repo_id.substr(0, repo_id.rfind(':'));
+}
 
 struct ProxyMetrics {
   obs::Counter& failures =
@@ -46,12 +54,6 @@ struct ProxyMetrics {
 ProxyMetrics& proxy_metrics() {
   static ProxyMetrics metrics;
   return metrics;
-}
-
-std::string format_seconds(double s) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9f", s);
-  return buf;
 }
 
 }  // namespace
@@ -139,20 +141,13 @@ void ProxyEngine::on_failure(const corba::SystemException& error, int attempt,
   // host and the sibling's failure already reported it.
   if (!(current_.ior() == failed_target)) {
     if (attempt >= config_.policy.max_attempts || !should_retry(error)) {
-      obs::timeline_event_at(at, "proxy", service_key_,
-                             "surfacing batched failure: retry budget "
-                             "exhausted");
-      obs::flight_event(obs::FlightEvent::recovery_step, service_key_,
-                        kStepExhausted, static_cast<std::uint64_t>(attempt));
+      report(service_key_, RecoveryStep::exhausted, attempt);
       obs::flight_auto_dump("recovery exhausted: " + service_key_);
       throw;
     }
     ++batched_failures_;
     proxy_metrics().batched_failures.inc();
-    obs::timeline_event_at(at, "proxy", service_key_,
-                           "batched connection failure (attempt " +
-                               std::to_string(attempt) +
-                               "): sibling already recovered; re-issuing");
+    report(service_key_, RecoveryStep::batched_reissue, attempt);
     return;
   }
   // A session-layer fallback means the transport already spent its resume
@@ -161,24 +156,16 @@ void ProxyEngine::on_failure(const corba::SystemException& error, int attempt,
   // network absorbed by sessions" from "recovery actually needed".
   if (error.minor() == corba::minor_code::session_resume_failed) {
     proxy_metrics().resume_fallbacks.inc();
-    obs::timeline_event_at(at, "proxy", service_key_,
-                           "session resume exhausted; falling back to "
-                           "recovery");
+    report(service_key_, RecoveryStep::resume_fallback);
   }
-  obs::timeline_event_at(at, "proxy", service_key_,
-                         "call failed (attempt " + std::to_string(attempt) +
-                             "): " + error.repo_id());
-  obs::flight_event(obs::FlightEvent::recovery_step, service_key_, kStepFailure,
-                    static_cast<std::uint64_t>(attempt));
+  report(service_key_, RecoveryStep::failure, attempt,
+         short_name(error.repo_id()));
   if (config_.quarantine) {
     if (current_host_.empty()) current_host_ = host_of_current();
     config_.quarantine->report_failure(service_key_, current_host_, at);
   }
   if (attempt >= config_.policy.max_attempts || !should_retry(error)) {
-    obs::timeline_event_at(at, "proxy", service_key_,
-                           "surfacing failure: retry budget exhausted");
-    obs::flight_event(obs::FlightEvent::recovery_step, service_key_,
-                      kStepExhausted, static_cast<std::uint64_t>(attempt));
+    report(service_key_, RecoveryStep::exhausted, attempt);
     obs::flight_auto_dump("recovery exhausted: " + service_key_);
     throw;
   }
@@ -197,10 +184,7 @@ void ProxyEngine::on_failure(const corba::SystemException& error, int attempt,
       (at - call_start) + delay > p.call_deadline_s) {
     ++deadline_exhaustions_;
     proxy_metrics().deadline_exhaustions.inc();
-    obs::timeline_event_at(at, "proxy", service_key_,
-                           "surfacing failure: call deadline exhausted");
-    obs::flight_event(obs::FlightEvent::recovery_step, service_key_,
-                      kStepExhausted, static_cast<std::uint64_t>(attempt));
+    report(service_key_, RecoveryStep::deadline_exhausted, attempt);
     obs::flight_auto_dump("call deadline exhausted: " + service_key_);
     corba::log::emit(corba::log::Level::warning, "ft.proxy",
                      "call deadline exhausted for '" + service_key_ +
@@ -208,8 +192,8 @@ void ProxyEngine::on_failure(const corba::SystemException& error, int attempt,
     throw;
   }
   if (delay > 0) {
-    obs::timeline_event_at(at, "proxy", service_key_,
-                           "backing off " + format_seconds(delay) + "s");
+    report(service_key_, RecoveryStep::backoff,
+           static_cast<std::uint64_t>(std::llround(delay * 1e9)));
     proxy_metrics().backoff.record(delay);
     if (config_.sleep)
       config_.sleep(delay);
@@ -246,8 +230,7 @@ void ProxyEngine::on_failure(const corba::SystemException& error, int attempt,
         }
       }
     }
-    obs::timeline_event_at(now(), "proxy", service_key_,
-                           "recovery failed; retrying with current target");
+    report(service_key_, RecoveryStep::recovery_failed);
     corba::log::emit(corba::log::Level::warning, "ft.proxy",
                      "recovery of '" + service_key_ +
                          "' failed; retrying with the current target");
@@ -276,8 +259,7 @@ void ProxyEngine::note_success() {
       // call does not fail too.
       ++checkpoint_failures_;
       proxy_metrics().checkpoint_failures.inc();
-      obs::timeline_event_at(now(), "proxy", service_key_,
-                             "checkpoint failed; attempting relocation");
+      report(service_key_, RecoveryStep::checkpoint_failed);
       corba::log::emit(corba::log::Level::warning, "ft.proxy",
                        "checkpoint of '" + config_.checkpoint_key +
                            "' failed; attempting relocation");
@@ -319,12 +301,7 @@ void ProxyEngine::rebind(corba::ObjectRef next, std::string host) {
   current_host_ = host.empty() ? host_of_current() : std::move(host);
   ++recoveries_;
   proxy_metrics().recoveries.inc();
-  obs::flight_event(obs::FlightEvent::recovery_step, service_key_, kStepRebound,
-                    recoveries_);
-  obs::timeline_event_at(
-      now(), "proxy", service_key_,
-      "rebound to " + (current_host_.empty() ? std::string("<unknown host>")
-                                             : current_host_));
+  report(service_key_, RecoveryStep::rebound, recoveries_, current_host_);
   if (corba::log::enabled())
     corba::log::emit(corba::log::Level::info, "ft.proxy",
                      "service '" + config_.service_name.to_string() +
@@ -336,10 +313,7 @@ void ProxyEngine::rebind(corba::ObjectRef next, std::string host) {
 void ProxyEngine::recover_now() {
   const double recovery_start = now();
   obs::Span recover_span("proxy.recover", service_key_);
-  obs::timeline_event_at(recovery_start, "proxy", service_key_,
-                         "recovery started");
-  obs::flight_event(obs::FlightEvent::recovery_step, service_key_,
-                    kStepRecover);
+  report(service_key_, RecoveryStep::recover);
   // Drain the async pipeline before anything else so the restore below sees
   // the newest checkpoint the captures can produce.
   if (pipeline_) pipeline_->flush();
@@ -370,9 +344,7 @@ void ProxyEngine::recover_now() {
               config_.service_name, config_.policy.resolve_strategy);
           if (!(candidate.ior() == failed)) next = std::move(candidate);
         }
-        if (!next.is_nil())
-          obs::timeline_event_at(now(), "proxy", service_key_,
-                                 "re-resolved to an existing offer");
+        if (!next.is_nil()) report(service_key_, RecoveryStep::reresolved);
       } catch (const naming::NotFound&) {
         // No offers left; fall through to the factory if allowed.
       } catch (const corba::SystemException&) {
@@ -400,8 +372,7 @@ void ProxyEngine::recover_now() {
     next = factory.create(config_.service_type);
     next_host = factory.host();
     from_factory = true;
-    obs::timeline_event_at(now(), "proxy", service_key_,
-                           "created replacement via factory on " + next_host);
+    report(service_key_, RecoveryStep::factory_created, 0, next_host);
   }
 
   // 2. Restore the last checkpoint into the replacement.
@@ -409,9 +380,7 @@ void ProxyEngine::recover_now() {
     obs::Span load_span("checkpoint.load", config_.checkpoint_key);
     if (const auto checkpoint = config_.store->load(config_.checkpoint_key)) {
       set_state(next, checkpoint->state);
-      obs::timeline_event_at(
-          now(), "proxy", service_key_,
-          "restored checkpoint v" + std::to_string(checkpoint->version));
+      report(service_key_, RecoveryStep::restored, checkpoint->version);
     }
   }
 

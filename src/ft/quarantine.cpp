@@ -4,7 +4,6 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
 #include "orb/log.hpp"
 
 namespace ft {
@@ -48,9 +47,7 @@ void OfferQuarantine::report_failure(const std::string& service,
     entry.probe_streak = 0;
     ++imposed_;
     quarantine_metrics().imposed.inc();
-    obs::timeline_event_at(now, "quarantine", service,
-                           "re-armed quarantine of " + host);
-    obs::flight_event(obs::FlightEvent::quarantine_trip, service, 0, 1);
+    obs::flight_report(obs::FlightEvent::quarantine_trip, service, 0, 1, host);
     return;
   }
   if (entry.strikes == 0 || now - entry.window_start > options_.strike_window_s) {
@@ -63,9 +60,7 @@ void OfferQuarantine::report_failure(const std::string& service,
     entry.quarantined_until = now + options_.quarantine_duration_s;
     ++imposed_;
     quarantine_metrics().imposed.inc();
-    obs::timeline_event_at(now, "quarantine", service,
-                           "quarantined " + host + " after repeated failures");
-    obs::flight_event(obs::FlightEvent::quarantine_trip, service);
+    obs::flight_report(obs::FlightEvent::quarantine_trip, service, 0, 0, host);
     obs::flight_auto_dump("quarantine trip: " + service + " on " + host);
     corba::log::emit(corba::log::Level::warning, "ft.quarantine",
                      "instance of '" + service + "' on " + host +
@@ -86,9 +81,8 @@ void OfferQuarantine::report_success(const std::string& service,
       entry.probe_streak = 0;
       ++probe_releases_;
       quarantine_metrics().released.inc();
-      obs::timeline_event_at(now, "quarantine", service,
-                             "released " + host +
-                                 " after consecutive healthy probes");
+      obs::flight_report(obs::FlightEvent::quarantine_release, service, 0, 0,
+                         host);
       corba::log::emit(corba::log::Level::info, "ft.quarantine",
                        "instance of '" + service + "' on " + host +
                            " released after consecutive healthy probes");

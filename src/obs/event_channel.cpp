@@ -59,8 +59,8 @@ std::string format_time(double t) {
 }
 
 constexpr std::string_view kTopicNames[kTopicCount] = {
-    "metrics.delta", "flight.event", "load.report", "recovery.timeline",
-    "session.state", "shard.state", "trace.span"};
+    "metrics.delta", "flight.event", "load.report", "session.state",
+    "shard.state", "trace.span"};
 
 // After this many consecutive consumer invocations throw, the subscription
 // is torn down — a departed remote consumer must not hold its queue forever.
@@ -145,7 +145,6 @@ OverflowPolicy default_policy(Topic topic) noexcept {
       // unsent older one losslessly.
       return OverflowPolicy::coalesce_by_key;
     case Topic::flight_event:
-    case Topic::recovery_timeline:
     case Topic::session_state:
     case Topic::trace_span:
       // Spans are log-like: every record is distinct, coalescing by trace id

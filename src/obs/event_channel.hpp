@@ -8,8 +8,8 @@
 // channel inverts the direction, following the CORBA Event/Notification
 // pattern: producers publish typed events, consumers subscribe with a
 // per-subscriber bounded queue and a QoS policy for what happens when they
-// fall behind — `drop_oldest` for log-like topics (flight events, recovery
-// timeline), `coalesce_by_key` for state-like topics (metric deltas, load
+// fall behind — `drop_oldest` for log-like topics (flight events, session
+// state), `coalesce_by_key` for state-like topics (metric deltas, load
 // reports) where a newer value supersedes an unsent older one.
 //
 // Design constraints, in order:
@@ -52,14 +52,13 @@ namespace obs {
 /// telemetry plane" has the QoS table).
 enum class Topic : std::uint8_t {
   metrics_delta = 0,     ///< changed MetricsRegistry entries, per epoch
-  flight_event = 1,      ///< FlightRecorder ring spills (dump_to_events)
+  flight_event = 1,      ///< live recovery events + FlightRecorder ring spills
   load_report = 2,       ///< Winner load reports as the system manager sees them
-  recovery_timeline = 3, ///< RecoveryTimeline events (proxy/detector/pipeline)
-  session_state = 4,     ///< transport session lifecycle (resume/overflow)
-  shard_state = 5,       ///< checkpoint-shard primary state (version, lag)
-  trace_span = 6,        ///< finished SpanRecords (batched SpanExporter)
+  session_state = 3,     ///< transport session lifecycle (resume/overflow)
+  shard_state = 4,       ///< checkpoint-shard primary state (version, lag)
+  trace_span = 5,        ///< finished SpanRecords (batched SpanExporter)
 };
-inline constexpr std::size_t kTopicCount = 7;
+inline constexpr std::size_t kTopicCount = 6;
 
 std::string_view to_string(Topic topic) noexcept;
 /// Parses the dotted topic name ("metrics.delta"); nullopt when unknown.

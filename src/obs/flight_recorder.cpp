@@ -30,6 +30,66 @@ std::string format_trace(std::uint64_t id) {
   return buf;
 }
 
+constexpr bool carries_detail(FlightEvent type) noexcept {
+  return type == FlightEvent::recovery_step ||
+         type == FlightEvent::quarantine_trip ||
+         type == FlightEvent::quarantine_release ||
+         type == FlightEvent::fault_confirmed;
+}
+
+using PackedText =
+    std::array<std::atomic<std::uint64_t>, FlightRecorder::kSubjectCapacity / 8>;
+
+void pack(PackedText& words, std::string_view text) noexcept {
+  for (std::size_t word = 0; word < words.size(); ++word) {
+    std::uint64_t packed = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      const std::size_t pos = word * 8 + i;
+      if (pos < text.size())
+        packed |= static_cast<std::uint64_t>(
+                      static_cast<unsigned char>(text[pos]))
+                  << (8 * i);
+    }
+    words[word].store(packed, std::memory_order_relaxed);
+  }
+}
+
+std::string unpack(const PackedText& words) {
+  char chars[FlightRecorder::kSubjectCapacity];
+  for (std::size_t word = 0; word < words.size(); ++word) {
+    const std::uint64_t packed = words[word].load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < 8; ++i)
+      chars[word * 8 + i] = static_cast<char>((packed >> (8 * i)) & 0xff);
+  }
+  std::size_t len = 0;
+  while (len < sizeof(chars) && chars[len] != '\0') ++len;
+  return std::string(chars, len);
+}
+
+// One ring event as a `flight.event` channel event: the shape both the live
+// report and the dump replay publish, so a consumer can tell a replayed
+// event from a new one by (index, type, subject, at).
+void publish(const FlightRecorder::Event& e, std::string_view reason) {
+  publish_event(
+      Topic::flight_event, /*host=*/"", /*key=*/to_string(e.type),
+      {str_field("reason", std::string(reason)),
+       str_field("type", std::string(to_string(e.type))),
+       str_field("subject", e.subject), int_field("a", e.a),
+       int_field("b", e.b), num_field("at", e.t), int_field("index", e.index),
+       int_field("trace", e.trace_id), str_field("detail", e.detail)});
+}
+
+std::string_view step_name(std::uint64_t step) noexcept {
+  // Indexed by RecoveryStep code.
+  constexpr std::string_view kNames[] = {
+      "unknown",         "failure",         "recover",
+      "rebound",         "exhausted",       "batched_reissue",
+      "resume_fallback", "deadline_exhausted",
+      "backoff",         "reresolved",      "factory_created",
+      "restored",        "recovery_failed", "checkpoint_failed"};
+  return step < std::size(kNames) ? kNames[step] : kNames[0];
+}
+
 }  // namespace
 
 std::string_view to_string(FlightEvent type) noexcept {
@@ -46,8 +106,22 @@ std::string_view to_string(FlightEvent type) noexcept {
     case FlightEvent::session_resume: return "session_resume";
     case FlightEvent::delta_fallback: return "delta_fallback";
     case FlightEvent::shard_failover: return "shard_failover";
+    case FlightEvent::quarantine_release: return "quarantine_release";
+    case FlightEvent::fault_confirmed: return "fault_confirmed";
+    case FlightEvent::checkpoint_drop: return "checkpoint_drop";
   }
   return "unknown";
+}
+
+std::string describe_flight_event(std::string_view type,
+                                  std::string_view subject, std::uint64_t a,
+                                  std::uint64_t b, std::string_view detail) {
+  std::string out = std::string(type) + " " + std::string(subject) + " a=";
+  out += type == to_string(FlightEvent::recovery_step) ? std::string(step_name(a))
+                                                      : std::to_string(a);
+  out += " b=" + std::to_string(b);
+  if (!detail.empty()) out += " detail=" + std::string(detail);
+  return out;
 }
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
@@ -63,30 +137,53 @@ FlightRecorder& FlightRecorder::global() {
 void FlightRecorder::record(FlightEvent type, std::string_view subject,
                             std::uint64_t a, std::uint64_t b) noexcept {
   if (!enabled_.load(std::memory_order_relaxed)) return;
+  // The ambient trace context tags the event (0 when untraced), so a
+  // postmortem can join the ring with an assembled trace by id.
+  append(now(), type, subject, a, b, current_trace().trace_id, {});
+}
+
+void FlightRecorder::report(FlightEvent type, std::string_view subject,
+                            std::uint64_t a, std::uint64_t b,
+                            std::string_view detail) noexcept {
+  if (!enabled_.load(std::memory_order_relaxed)) return;
+  const double t = now();
+  const std::uint64_t trace = current_trace().trace_id;
+  const std::uint64_t index = append(t, type, subject, a, b, trace, detail);
+  if (!events_wanted()) return;
+  try {
+    // Published as the ring will render it, truncation included, so the
+    // live event and a later dump's replay of it carry equal fields.
+    publish(Event{t, type, std::string(subject.substr(0, kSubjectCapacity)), a,
+                  b, index, trace,
+                  std::string(carries_detail(type)
+                                  ? detail.substr(0, kSubjectCapacity)
+                                  : std::string_view())},
+            "live");
+  } catch (...) {
+    // Publication failing must never break the recovery path reporting it.
+  }
+}
+
+std::uint64_t FlightRecorder::append(double t, FlightEvent type,
+                                     std::string_view subject, std::uint64_t a,
+                                     std::uint64_t b, std::uint64_t trace,
+                                     std::string_view detail) noexcept {
   const std::uint64_t index = cursor_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[index & mask_];
   // Invalidate first so a reader racing this overwrite never pairs the old
   // sequence with new payload words.
   slot.seq.store(0, std::memory_order_release);
-  slot.t.store(now(), std::memory_order_relaxed);
+  slot.t.store(t, std::memory_order_relaxed);
   slot.type.store(static_cast<std::uint16_t>(type), std::memory_order_relaxed);
   slot.a.store(a, std::memory_order_relaxed);
   slot.b.store(b, std::memory_order_relaxed);
-  // The ambient trace context tags the event (0 when untraced), so a
-  // postmortem can join the ring with an assembled trace by id.
-  slot.trace.store(current_trace().trace_id, std::memory_order_relaxed);
-  for (std::size_t word = 0; word < slot.subject.size(); ++word) {
-    std::uint64_t packed = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-      const std::size_t pos = word * 8 + i;
-      if (pos < subject.size() && pos < kSubjectCapacity)
-        packed |= static_cast<std::uint64_t>(
-                      static_cast<unsigned char>(subject[pos]))
-                  << (8 * i);
-    }
-    slot.subject[word].store(packed, std::memory_order_relaxed);
-  }
+  slot.trace.store(trace, std::memory_order_relaxed);
+  pack(slot.subject, subject);
+  // Readers decode `detail` only for the types that carry one, so the other
+  // types leave a reused slot's stale words in place.
+  if (carries_detail(type)) pack(slot.detail, detail);
   slot.seq.store(index + 1, std::memory_order_release);
+  return index;
 }
 
 void FlightRecorder::clear() noexcept {
@@ -114,18 +211,10 @@ std::vector<FlightRecorder::Event> FlightRecorder::events() const {
     event.a = slot.a.load(std::memory_order_relaxed);
     event.b = slot.b.load(std::memory_order_relaxed);
     event.trace_id = slot.trace.load(std::memory_order_relaxed);
-    char chars[kSubjectCapacity];
-    for (std::size_t word = 0; word < slot.subject.size(); ++word) {
-      const std::uint64_t packed =
-          slot.subject[word].load(std::memory_order_relaxed);
-      for (std::size_t i = 0; i < 8; ++i)
-        chars[word * 8 + i] = static_cast<char>((packed >> (8 * i)) & 0xff);
-    }
+    event.subject = unpack(slot.subject);
+    if (carries_detail(event.type)) event.detail = unpack(slot.detail);
     // Re-check: if a writer lapped us mid-read the payload is torn.
     if (slot.seq.load(std::memory_order_acquire) != index + 1) continue;
-    std::size_t len = 0;
-    while (len < kSubjectCapacity && chars[len] != '\0') ++len;
-    event.subject.assign(chars, len);
     out.push_back(std::move(event));
   }
   return out;
@@ -138,8 +227,8 @@ std::string FlightRecorder::to_text() const {
                     " retained (capacity " + std::to_string(capacity_) + ")\n";
   for (const Event& e : all) {
     out += "[" + format_time(e.t) + "] #" + std::to_string(e.index) + " " +
-           std::string(to_string(e.type)) + " " + e.subject +
-           " a=" + std::to_string(e.a) + " b=" + std::to_string(e.b);
+           describe_flight_event(to_string(e.type), e.subject, e.a, e.b,
+                                 e.detail);
     // Only traced events carry the suffix: untraced runs keep rendering the
     // exact pre-trace-tagging lines (old dumps diff clean).
     if (e.trace_id != 0) out += " trace=" + format_trace(e.trace_id);
@@ -163,6 +252,7 @@ std::string FlightRecorder::to_json() const {
            std::string(to_string(e.type)) + "\", \"subject\": \"" + e.subject +
            "\", \"a\": " + std::to_string(e.a) +
            ", \"b\": " + std::to_string(e.b);
+    if (!e.detail.empty()) out += ", \"detail\": \"" + e.detail + "\"";
     // Size-compatible evolution: the key only appears on traced events, so
     // consumers of the old shape never see it unless tracing was on.
     if (e.trace_id != 0) out += ", \"trace\": " + std::to_string(e.trace_id);
@@ -216,16 +306,7 @@ void FlightRecorder::dump_to_events(std::string_view reason) {
   static obs::Counter& event_dumps = obs::MetricsRegistry::global().counter(
       "obs.flight.event_dumps_total");
   event_dumps.inc();
-  const std::vector<Event> all = events();
-  for (const Event& e : all) {
-    publish_event(
-        Topic::flight_event, /*host=*/"", /*key=*/to_string(e.type),
-        {str_field("reason", std::string(reason)),
-         str_field("type", std::string(to_string(e.type))),
-         str_field("subject", e.subject), int_field("a", e.a),
-         int_field("b", e.b), num_field("at", e.t), int_field("index", e.index),
-         int_field("trace", e.trace_id)});
-  }
+  for (const Event& e : events()) publish(e, reason);
 }
 
 void flight_auto_dump(std::string_view reason) noexcept {

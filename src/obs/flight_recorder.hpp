@@ -41,14 +41,15 @@
 namespace obs {
 
 /// Event vocabulary.  Kept deliberately small and stable: dumps are grepped
-/// by humans and diffed byte-for-byte by the determinism tests.
+/// by humans and diffed byte-for-byte by the determinism tests.  The
+/// recovery-class events (recovery_step, quarantine_*, fault_confirmed,
+/// checkpoint_drop) are the runtime's only recovery log; they are recorded
+/// through flight_report(), which also publishes them live.
 enum class FlightEvent : std::uint16_t {
   rpc_start = 1,       ///< subject=operation, a=request id
   rpc_end = 2,         ///< subject=operation, a=request id, b=1 on exception
-  recovery_step = 3,   ///< subject=service, a=step (1=failure observed,
-                       ///< 2=recovery started, 3=rebound, 4=budget
-                       ///< exhausted), b=attempt number where meaningful
-  quarantine_trip = 4, ///< subject=service, b=1 when re-armed
+  recovery_step = 3,   ///< subject=service, a=RecoveryStep, b/detail per step
+  quarantine_trip = 4, ///< subject=service, b=1 when re-armed, detail=host
   checkpoint_ship = 5, ///< subject=key, a=version, b=bytes shipped
   dispatch_depth = 6,  ///< subject=operation, a=queued+executing
   conn_open = 7,       ///< subject=host:port
@@ -57,15 +58,44 @@ enum class FlightEvent : std::uint16_t {
   session_resume = 10, ///< subject=host:port, a=session id, b=frames replayed
   delta_fallback = 11, ///< subject=checkpoint key, a=acked base, b=version
   shard_failover = 12, ///< subject=shard label, a=replica index, b=version
+  quarantine_release = 13, ///< subject=service, detail=host
+  fault_confirmed = 14,    ///< subject=service, detail=host (fault detector)
+  checkpoint_drop = 15,    ///< subject=key, a=version, b=attempts
 };
 
 std::string_view to_string(FlightEvent type) noexcept;
 
+/// The `a` field of a recovery_step event: one code per step of the proxy's
+/// recovery sequence.  `b` and `detail` are zero/empty unless noted.
+enum class RecoveryStep : std::uint64_t {
+  failure = 1,            ///< call failed; b=attempt, detail=exception name
+  recover = 2,            ///< recovery started
+  rebound = 3,            ///< b=recoveries so far, detail=new host
+  exhausted = 4,          ///< retry budget exhausted; b=attempt
+  batched_reissue = 5,    ///< a sibling call already recovered; b=attempt
+  resume_fallback = 6,    ///< session resume exhausted; recovery takes over
+  deadline_exhausted = 7, ///< call deadline exhausted; b=attempt
+  backoff = 8,            ///< b=delay in nanoseconds
+  reresolved = 9,         ///< re-resolved to an existing offer
+  factory_created = 10,   ///< detail=factory host
+  restored = 11,          ///< b=checkpoint version
+  recovery_failed = 12,   ///< retrying with the current target
+  checkpoint_failed = 13, ///< checkpoint retries spent; relocating
+};
+
+/// "<type> <subject> a=<a> b=<b>[ detail=<detail>]" with recovery_step's `a`
+/// as its step name: the one rendering of an event's payload, shared by
+/// to_text() and orbtrace's postmortem join.
+std::string describe_flight_event(std::string_view type,
+                                  std::string_view subject, std::uint64_t a,
+                                  std::uint64_t b, std::string_view detail);
+
 class FlightRecorder {
  public:
-  /// Capacity is rounded up to a power of two; 4096 compact slots ≈ 256 KiB.
+  /// Capacity is rounded up to a power of two; 4096 compact slots ≈ 384 KiB.
   static constexpr std::size_t kDefaultCapacity = 4096;
-  /// Subjects longer than this are truncated (3 packed 8-byte words).
+  /// Subjects and details longer than this are truncated (3 packed 8-byte
+  /// words each).
   static constexpr std::size_t kSubjectCapacity = 24;
 
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
@@ -79,6 +109,12 @@ class FlightRecorder {
   /// Appends one event (relaxed atomics only; safe from any thread).
   void record(FlightEvent type, std::string_view subject, std::uint64_t a = 0,
               std::uint64_t b = 0) noexcept;
+
+  /// record() with a `detail`, then — when the event channel has
+  /// subscribers — publishes the event live on `flight.event` (reason
+  /// "live"), with the same fields a later dump_to_events replays for it.
+  void report(FlightEvent type, std::string_view subject, std::uint64_t a,
+              std::uint64_t b, std::string_view detail) noexcept;
 
   /// The kill switch exists for overhead measurement (bench) and for tests
   /// that need a quiet recorder; production leaves it on.
@@ -111,6 +147,7 @@ class FlightRecorder {
     /// Ambient trace id at record() time; 0 when untraced.  Lets orbtrace
     /// postmortems join flight events to a trace without timestamp guessing.
     std::uint64_t trace_id = 0;
+    std::string detail;  ///< host or exception name; empty for most types
   };
 
   /// Decoded surviving events, oldest to newest.  Slots torn by a concurrent
@@ -119,12 +156,12 @@ class FlightRecorder {
 
   /// Deterministic text rendering:
   ///   flight-recorder: <recorded> events recorded, <n> retained (capacity <c>)
-  ///   [<t>] #<index> <type> <subject> a=<a> b=<b>
+  ///   [<t>] #<index> <type> <subject> a=<a> b=<b>[ detail=<detail>]
   std::string to_text() const;
 
   /// JSON rendering: {"schema_version": 1, "recorded": N, "capacity": C,
   /// "events": [{"t": ..., "index": N, "type": "...", "subject": "...",
-  /// "a": N, "b": N}, ...]}.
+  /// "a": N, "b": N[, "detail": "..."]}, ...]}.
   std::string to_json() const;
 
   // --- auto-dump -------------------------------------------------------------
@@ -140,7 +177,8 @@ class FlightRecorder {
   void auto_dump(std::string_view reason) noexcept;
 
   /// Publishes every retained ring event on the `flight.event` channel
-  /// topic (one event per slot: reason/type/subject/a/b/at/index fields)
+  /// topic (one event per slot: reason/type/subject/a/b/at/index/trace/
+  /// detail fields)
   /// and counts `obs.flight.event_dumps_total`.  No-op without channel
   /// subscribers, and re-entrant calls on one thread collapse (a dump whose
   /// publication overflows a queue would otherwise dump again forever).
@@ -163,7 +201,16 @@ class FlightRecorder {
     std::atomic<std::uint64_t> b{0};
     std::atomic<std::uint64_t> trace{0};  ///< ambient trace id (0 untraced)
     std::array<std::atomic<std::uint64_t>, 3> subject{};
+    std::array<std::atomic<std::uint64_t>, 3> detail{};
   };
+
+  /// Stores one event stamped `t` into the next slot; returns its index.
+  /// `detail` is stored only for the recovery-class types that carry one
+  /// (recovery_step, quarantine_*, fault_confirmed), so the rpc hot path
+  /// does no extra store.
+  std::uint64_t append(double t, FlightEvent type, std::string_view subject,
+                       std::uint64_t a, std::uint64_t b, std::uint64_t trace,
+                       std::string_view detail) noexcept;
 
   std::size_t capacity_ = 0;  // power of two
   std::size_t mask_ = 0;
@@ -180,6 +227,12 @@ class FlightRecorder {
 inline void flight_event(FlightEvent type, std::string_view subject,
                          std::uint64_t a = 0, std::uint64_t b = 0) noexcept {
   FlightRecorder::global().record(type, subject, a, b);
+}
+/// Recovery-class events: recorded on the global ring and published live.
+inline void flight_report(FlightEvent type, std::string_view subject,
+                          std::uint64_t a = 0, std::uint64_t b = 0,
+                          std::string_view detail = {}) noexcept {
+  FlightRecorder::global().report(type, subject, a, b, detail);
 }
 void flight_auto_dump(std::string_view reason) noexcept;
 

@@ -436,7 +436,7 @@ void PushCollector::State::apply(const Event& event) {
       assembler.add_event(event);
       break;
     default:
-      // flight.event / recovery.timeline / session.state have no table
+      // flight.event / session.state have no table
       // column yet; they still count as received stream traffic.
       break;
   }

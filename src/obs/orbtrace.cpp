@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <exception>
 #include <mutex>
+#include <set>
+#include <tuple>
 
 #include "naming/naming_stub.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/trace_export.hpp"
 
 namespace obs {
@@ -90,57 +94,41 @@ struct TraceWatcher::State {
   explicit State(const Options& options)
       : assembler(options.assembler), max_joined(options.max_joined) {}
 
+  /// (index, type, subject, at): one ring event, however many times dumps
+  /// replay it and whether or not it was also published live.
+  using EventKey = std::tuple<std::uint64_t, std::string, std::string, double>;
+
   mutable std::mutex mu;
   TraceAssembler assembler;
-  std::vector<JoinedEvent> joined;
+  std::deque<std::pair<JoinedEvent, EventKey>> joined;  ///< arrival order
+  std::set<EventKey> seen;  ///< the keys of `joined`
   std::size_t max_joined;
   std::uint64_t events_received = 0;
 
   void apply(const Event& event) {
     std::lock_guard lock(mu);
     ++events_received;
-    switch (event.topic) {
-      case Topic::trace_span:
-        assembler.add_event(event);
-        return;
-      case Topic::flight_event: {
-        const std::uint64_t trace = u64_field(event, "trace");
-        if (trace == 0) return;  // untraced ring entry — nothing to join
-        JoinedEvent joined_event;
-        joined_event.trace_id = trace;
-        joined_event.t = f64_field(event, "at", event.t);
-        joined_event.source = "flight";
-        joined_event.text = str_field(event, "type") + " " +
-                            str_field(event, "subject") +
-                            " a=" + std::to_string(u64_field(event, "a")) +
-                            " b=" + std::to_string(u64_field(event, "b"));
-        push(std::move(joined_event));
-        return;
-      }
-      case Topic::recovery_timeline: {
-        const std::uint64_t trace = u64_field(event, "trace");
-        if (trace == 0) return;
-        JoinedEvent joined_event;
-        joined_event.trace_id = trace;
-        joined_event.t = f64_field(event, "at", event.t);
-        joined_event.source = "timeline";
-        joined_event.text =
-            str_field(event, "category") + " " + str_field(event, "subject");
-        if (const std::string detail = str_field(event, "detail");
-            !detail.empty())
-          joined_event.text += " " + detail;
-        push(std::move(joined_event));
-        return;
-      }
-      default:
-        return;
+    if (event.topic == Topic::trace_span) {
+      assembler.add_event(event);
+      return;
     }
-  }
-
-  void push(JoinedEvent event) {
-    if (joined.size() >= max_joined)
-      joined.erase(joined.begin());  // oldest-out, same as the exporter buffer
-    joined.push_back(std::move(event));
+    if (event.topic != Topic::flight_event) return;
+    const std::uint64_t trace = u64_field(event, "trace");
+    if (trace == 0) return;  // untraced ring entry — nothing to join
+    EventKey key{u64_field(event, "index"), str_field(event, "type"),
+                 str_field(event, "subject"), f64_field(event, "at", event.t)};
+    if (!seen.insert(key).second) return;  // a replay of one already joined
+    if (joined.size() >= max_joined) {
+      // Oldest-out, same as the exporter buffer.
+      seen.erase(joined.front().second);
+      joined.pop_front();
+    }
+    JoinedEvent joined_event{
+        std::get<3>(key), trace,
+        describe_flight_event(std::get<1>(key), std::get<2>(key),
+                              u64_field(event, "a"), u64_field(event, "b"),
+                              str_field(event, "detail"))};
+    joined.emplace_back(std::move(joined_event), std::move(key));
   }
 };
 
@@ -160,8 +148,7 @@ TraceWatcher::TraceWatcher(std::shared_ptr<corba::ORB> orb,
 
   const std::vector<std::string> topics = {
       std::string(to_string(Topic::trace_span)),
-      std::string(to_string(Topic::flight_event)),
-      std::string(to_string(Topic::recovery_timeline))};
+      std::string(to_string(Topic::flight_event))};
 
   naming::Name obs_name;
   obs_name.append(std::string(naming::kObsContextId));
@@ -206,7 +193,7 @@ std::vector<JoinedEvent> TraceWatcher::joined_events(
     std::uint64_t trace_id) const {
   std::lock_guard lock(state_->mu);
   std::vector<JoinedEvent> out;
-  for (const JoinedEvent& event : state_->joined)
+  for (const auto& [event, key] : state_->joined)
     if (trace_id == 0 || event.trace_id == trace_id) out.push_back(event);
   std::stable_sort(out.begin(), out.end(),
                    [](const JoinedEvent& a, const JoinedEvent& b) {
@@ -323,8 +310,7 @@ std::string traces_to_json(const std::vector<AssembledTrace>& traces,
       if (event.trace_id != trace.trace_id) continue;
       if (!first_join) out += ", ";
       first_join = false;
-      out += "{\"t\": " + format_double(event.t) + ", \"source\": \"" +
-             json_escape(event.source) + "\", \"text\": \"" +
+      out += "{\"t\": " + format_double(event.t) + ", \"text\": \"" +
              json_escape(event.text) + "\"}";
     }
     out += "]}";
@@ -370,7 +356,7 @@ std::string render_postmortem(const AssembledTrace& trace,
   }
   for (const JoinedEvent& event : joined) {
     if (event.trace_id != trace.trace_id) continue;
-    entries.push_back({event.t, cell(event.source, 10) + event.text});
+    entries.push_back({event.t, cell("flight", 10) + event.text});
   }
   std::stable_sort(entries.begin(), entries.end(),
                    [](const Entry& a, const Entry& b) { return a.t < b.t; });

@@ -3,11 +3,12 @@
 // The library half of tools/orbtrace.cpp, kept separate (like orbtop.hpp)
 // so the integration tests can drive it against in-process clusters without
 // spawning the CLI.  A TraceWatcher subscribes an EventConsumer through
-// every `_obs/*` telemetry servant for the `trace.span`, `flight.event` and
-// `recovery.timeline` topics; spans feed a TraceAssembler, while flight and
-// timeline events carrying a nonzero trace id are kept for the
-// recovery-postmortem join ("this slow trace crossed a recovery — here is
-// the recovery's own account of it, on the same timeline").
+// every `_obs/*` telemetry servant for the `trace.span` and `flight.event`
+// topics; spans feed a TraceAssembler, while flight events carrying a
+// nonzero trace id — recovery steps published live, and ring replays from
+// auto-dumps — are kept, once each, for the recovery-postmortem join ("this
+// slow trace crossed a recovery — here is the recovery's own account of it,
+// on the same timeline").
 //
 // The report functions are pure over assembled traces, so same-seed
 // simulated runs render byte-identical reports (the determinism contract of
@@ -27,13 +28,12 @@
 
 namespace obs {
 
-/// A flight-recorder or recovery-timeline event that carried a nonzero
-/// trace id — joinable against an assembled trace for postmortems.
+/// A flight event that carried a nonzero trace id — joinable against an
+/// assembled trace for postmortems.
 struct JoinedEvent {
   double t = 0.0;         ///< the record's own timestamp (`at` field)
   std::uint64_t trace_id = 0;
-  std::string source;     ///< "flight" or "timeline"
-  std::string text;       ///< rendered one-liner (type/category + subject...)
+  std::string text;       ///< describe_flight_event() one-liner
 };
 
 /// Subscription-driven trace collector.
@@ -42,7 +42,7 @@ class TraceWatcher {
   struct Options {
     std::size_t queue_limit = 4096;
     TraceAssembler::Options assembler{};
-    /// Joined flight/timeline events kept at most (oldest dropped).
+    /// Joined flight events kept at most (oldest dropped).
     std::size_t max_joined = 65536;
   };
 
@@ -100,7 +100,7 @@ std::string render_trace_report(const std::vector<AssembledTrace>& traces,
 ///     "spans": [{"name", "detail", "span", "parent", "host", "start",
 ///                "end", "category", "orphan"}],
 ///     "attribution": [{"category", "seconds"}],
-///     "joined": [{"t", "source", "text"}]}],
+///     "joined": [{"t", "text"}]}],
 ///    "aggregate": [{"category", "traces", "total_s", "p50_s", "p99_s",
 ///                   "share"}]}
 std::string traces_to_json(const std::vector<AssembledTrace>& traces,
@@ -108,7 +108,7 @@ std::string traces_to_json(const std::vector<AssembledTrace>& traces,
                            const std::vector<JoinedEvent>& joined = {});
 
 /// Postmortem rendering for one trace: its tree and attribution, then the
-/// joined flight/timeline events (pre-filtered to this trace or not — the
+/// joined flight events (pre-filtered to this trace or not — the
 /// renderer filters by id again) merged chronologically with the trace's
 /// span boundaries.
 std::string render_postmortem(const AssembledTrace& trace,

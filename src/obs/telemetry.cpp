@@ -4,7 +4,6 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
 
@@ -245,11 +244,6 @@ corba::Value TelemetryServant::dispatch(std::string_view op,
     if (!options_.spans) return corba::Value(std::string());
     return corba::Value(last_lines(options_.spans->dump(), limit));
   }
-  if (op == "get_timeline") {
-    check_arity(op, args, 0);
-    const RecoveryTimeline* timeline = installed_timeline();
-    return corba::Value(timeline ? timeline->to_string() : std::string());
-  }
   if (op == "get_flight_recorder") {
     check_arity(op, args, 0);
     return corba::Value(FlightRecorder::global().to_text());
@@ -324,10 +318,6 @@ std::string TelemetryStub::get_metrics(const std::string& format) const {
 
 std::string TelemetryStub::get_spans(std::uint64_t limit) const {
   return call("get_spans", {corba::Value(limit)}).as_string();
-}
-
-std::string TelemetryStub::get_timeline() const {
-  return call("get_timeline", {}).as_string();
 }
 
 std::string TelemetryStub::get_flight_recorder() const {

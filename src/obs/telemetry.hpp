@@ -133,7 +133,6 @@ struct TelemetryOptions {
 /// Servant answering the introspection operations:
 ///   get_metrics(format)     format in {"text", "json", "prometheus"}
 ///   get_spans(limit)        last `limit` span lines (0 = all)
-///   get_timeline()          installed RecoveryTimeline rendering
 ///   get_flight_recorder()   FlightRecorder::global().to_text()
 ///   health()                flat HealthReport sequence
 ///   subscribe(consumer, topics, queue_limit, policy, interval)
@@ -175,7 +174,6 @@ class TelemetryStub final : public corba::StubBase {
 
   std::string get_metrics(const std::string& format = "text") const;
   std::string get_spans(std::uint64_t limit = 0) const;
-  std::string get_timeline() const;
   std::string get_flight_recorder() const;
   HealthReport health() const;
 

@@ -55,16 +55,6 @@ DispatchPool::DispatchPool(Options options, Dispatch dispatch)
 
 DispatchPool::~DispatchPool() { stop(); }
 
-void DispatchPool::submit(RequestMessage request, Completion done) {
-  std::unique_lock lock(mu_);
-  space_cv_.wait(lock,
-                 [this] { return in_pool_ < options_.queue_limit || stopping_; });
-  if (stopping_)
-    throw BAD_INV_ORDER("dispatch pool is stopped", minor_code::unspecified,
-                        CompletionStatus::completed_no);
-  enqueue_locked(std::move(request), std::move(done));
-}
-
 bool DispatchPool::try_submit(RequestMessage& request, Completion& done) {
   std::lock_guard lock(mu_);
   if (stopping_)
@@ -74,16 +64,6 @@ bool DispatchPool::try_submit(RequestMessage& request, Completion& done) {
     space_wanted_ = true;  // arm the edge: ring once when capacity frees up
     return false;
   }
-  enqueue_locked(std::move(request), std::move(done));
-  return true;
-}
-
-void DispatchPool::set_space_callback(std::function<void()> callback) {
-  std::lock_guard lock(mu_);
-  space_callback_ = std::move(callback);
-}
-
-void DispatchPool::enqueue_locked(RequestMessage request, Completion done) {
   ++in_pool_;
   pool_metrics().queue_depth.record(static_cast<double>(in_pool_));
   obs::flight_event(obs::FlightEvent::dispatch_depth, request.operation,
@@ -105,6 +85,12 @@ void DispatchPool::enqueue_locked(RequestMessage request, Completion done) {
     ready_.push_back(it->first);
     work_cv_.notify_one();
   }
+  return true;
+}
+
+void DispatchPool::set_space_callback(std::function<void()> callback) {
+  std::lock_guard lock(mu_);
+  space_callback_ = std::move(callback);
 }
 
 void DispatchPool::stop() {
@@ -112,7 +98,6 @@ void DispatchPool::stop() {
     std::lock_guard lock(mu_);
     stopping_ = true;
     work_cv_.notify_all();
-    space_cv_.notify_all();
     // A reactor loop parked on the space callback must wake to observe the
     // stop (its retried try_submit then throws and the connection unwinds).
     if (space_wanted_ && space_callback_) {
@@ -184,7 +169,6 @@ void DispatchPool::worker_loop() {
       ready_.push_back(key);
       work_cv_.notify_one();
     }
-    space_cv_.notify_one();
     if (space_wanted_ && in_pool_ < options_.queue_limit) {
       // Cheap by contract (an eventfd write), so holding mu_ here is fine
       // and keeps the arm/ring sequence race-free.

@@ -13,11 +13,11 @@
 // unconstrained, which is why replies carry request ids (the client transport
 // demuxes them; see tcp_transport.hpp).
 //
-// The queue is bounded: submit() blocks, and try_submit() bounces, when
-// `queue_limit` requests are in the pool (queued + executing).  The reactor
-// then stops reading the submitting connection — TCP flow control pushes
-// back to the sender, and an overloaded server degrades into backpressure
-// instead of unbounded memory growth.
+// The queue is bounded: try_submit() bounces when `queue_limit` requests are
+// in the pool (queued + executing).  The reactor then stops reading the
+// submitting connection — TCP flow control pushes back to the sender, and an
+// overloaded server degrades into backpressure instead of unbounded memory
+// growth.
 #pragma once
 
 #include <condition_variable>
@@ -38,8 +38,8 @@ class DispatchPool {
   struct Options {
     /// Worker thread count (>= 1).
     std::size_t threads = 4;
-    /// Maximum requests in the pool (queued + executing) before submit()
-    /// blocks.
+    /// Maximum requests in the pool (queued + executing) before try_submit()
+    /// bounces.
     std::size_t queue_limit = 1024;
   };
 
@@ -57,15 +57,11 @@ class DispatchPool {
   DispatchPool(const DispatchPool&) = delete;
   DispatchPool& operator=(const DispatchPool&) = delete;
 
-  /// Enqueues a request.  `done` may be empty (oneway).  Blocks while the
-  /// pool is at queue_limit; throws BAD_INV_ORDER after stop().
-  void submit(RequestMessage request, Completion done);
-
-  /// Non-blocking submit for callers that must never park a thread (the
-  /// reactor's I/O loops): returns false — leaving `request`/`done`
-  /// untouched — when the pool is at queue_limit, and arms the space
-  /// callback so the caller is poked once capacity frees up.  Throws
-  /// BAD_INV_ORDER after stop().
+  /// Enqueues a request without ever parking the caller (the reactor's I/O
+  /// loops).  `done` may be empty (oneway).  Returns false — leaving
+  /// `request`/`done` untouched — when the pool is at queue_limit, and arms
+  /// the space callback so the caller is poked once capacity frees up.
+  /// Throws BAD_INV_ORDER after stop().
   bool try_submit(RequestMessage& request, Completion& done);
 
   /// Installs the capacity notification used by try_submit: invoked (at
@@ -106,14 +102,12 @@ class DispatchPool {
   };
 
   void worker_loop();
-  void enqueue_locked(RequestMessage request, Completion done);
 
   Options options_;
   Dispatch dispatch_;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;   ///< workers wait for runnable keys
-  std::condition_variable space_cv_;  ///< submitters wait for capacity
+  std::condition_variable work_cv_;  ///< workers wait for runnable keys
   std::unordered_map<ObjectKey, KeyQueue, ObjectKeyHash> keys_;
   /// Keys with a runnable (not currently executing) head job, FIFO.
   std::deque<ObjectKey> ready_;

@@ -121,19 +121,6 @@ void ObjectAdapter::enable_dispatch_pool(DispatchPool::Options options) {
       options, [this](const RequestMessage& request) { return dispatch(request); });
 }
 
-void ObjectAdapter::dispatch_async(RequestMessage request,
-                                   DispatchPool::Completion done) {
-  // pool_ is written once under pool_mu_ before any endpoint thread runs and
-  // never reset, so the lock-free read here is race-free in practice; the
-  // pool outlives every reactor loop (stop_dispatch_pool only drains).
-  if (DispatchPool* pool = pool_.get()) {
-    pool->submit(std::move(request), std::move(done));
-    return;
-  }
-  ReplyMessage reply = dispatch(request);
-  if (request.response_expected && done) done(std::move(reply));
-}
-
 void ObjectAdapter::stop_dispatch_pool() {
   std::unique_lock lock(pool_mu_);
   DispatchPool* pool = pool_.get();

@@ -82,15 +82,9 @@ class ObjectAdapter {
   /// ORB isolates clients from server-side failures.
   ReplyMessage dispatch(const RequestMessage& request) noexcept;
 
-  /// Starts the bounded dispatch thread pool used by dispatch_async().
+  /// Starts the bounded dispatch thread pool the TCP reactor submits to.
   /// Idempotent; BAD_INV_ORDER if already started with different options.
   void enable_dispatch_pool(DispatchPool::Options options);
-
-  /// Asynchronous dispatch: with a pool enabled the request is queued and a
-  /// worker later invokes `done` (on its own thread, FIFO per object key);
-  /// without one it runs inline on the caller.  `done` may be empty
-  /// (oneway).  Blocks under backpressure when the pool is full.
-  void dispatch_async(RequestMessage request, DispatchPool::Completion done);
 
   /// Drains and joins the pool.  Idempotent, safe without a pool.
   void stop_dispatch_pool();

@@ -336,6 +336,20 @@ bool note_session_request(const std::shared_ptr<ServerSession>& session,
   return true;
 }
 
+/// Hands a request to the adapter's dispatch pool, or — dispatch_threads = 0,
+/// no pool — dispatches it inline on the I/O thread: no thread handoff, but
+/// a slow servant stalls every connection on the loop.  Returns false, with
+/// `request`/`done` untouched, while the pool is at capacity; throws
+/// BAD_INV_ORDER once the pool is stopped.
+bool try_dispatch(ObjectAdapter& adapter, RequestMessage& request,
+                  DispatchPool::Completion& done) {
+  if (DispatchPool* pool = adapter.dispatch_pool())
+    return pool->try_submit(request, done);
+  ReplyMessage reply = adapter.dispatch(request);
+  if (request.response_expected && done) done(std::move(reply));
+  return true;
+}
+
 }  // namespace
 
 /// Per-I/O-thread state.  `conns`, `stalled` and the deadline wheel belong
@@ -639,13 +653,8 @@ void Reactor::reap_conn(Loop& loop, std::shared_ptr<ReactorConn> conn) {
 void Reactor::salvage_stalled(Loop& loop, ReactorConn& conn) {
   ReactorConn::StalledJob job = std::move(*conn.stalled_);
   conn.stalled_.reset();
-  DispatchPool* pool = adapter_->dispatch_pool();
   try {
-    if (pool == nullptr) {
-      adapter_->dispatch_async(std::move(job.request), std::move(job.done));
-      return;
-    }
-    if (pool->try_submit(job.request, job.done)) return;
+    if (try_dispatch(*adapter_, job.request, job.done)) return;
   } catch (const Exception&) {
     return;  // pool stopped: the endpoint is going down
   }
@@ -854,15 +863,8 @@ bool Reactor::submit_request(Loop& loop,
     else
       done = [conn](ReplyMessage reply) { conn->write_reply(reply); };
   }
-  DispatchPool* pool = adapter_->dispatch_pool();
-  if (pool == nullptr) {
-    // dispatch_threads = 0: inline dispatch on the I/O thread — no thread
-    // handoff, but a slow servant stalls every connection on this loop.
-    adapter_->dispatch_async(std::move(request), std::move(done));
-    return true;
-  }
   try {
-    if (pool->try_submit(request, done)) return true;
+    if (try_dispatch(*adapter_, request, done)) return true;
   } catch (const Exception&) {
     return false;  // pool stopped: the endpoint is going down
   }
@@ -881,16 +883,13 @@ bool Reactor::submit_request(Loop& loop,
 }
 
 void Reactor::retry_stalled(Loop& loop) {
-  DispatchPool* pool = adapter_->dispatch_pool();
   // Orphaned jobs from reaped connections go first: their seqs were noted
   // before anything now parked on a live connection.
   while (!loop.orphans.empty()) {
     ReactorConn::StalledJob& job = loop.orphans.front();
     try {
-      if (pool != nullptr && !pool->try_submit(job.request, job.done))
+      if (!try_dispatch(*adapter_, job.request, job.done))
         return;  // still full: the next space callback retries everything
-      if (pool == nullptr)
-        adapter_->dispatch_async(std::move(job.request), std::move(job.done));
     } catch (const Exception&) {
       // pool stopped: the endpoint is going down, drop the job
     }
@@ -903,8 +902,8 @@ void Reactor::retry_stalled(Loop& loop) {
     if (conn->is_dead() || !conn->stalled_) continue;
     bool accepted = false;
     try {
-      accepted = pool == nullptr ||
-                 pool->try_submit(conn->stalled_->request, conn->stalled_->done);
+      accepted = try_dispatch(*adapter_, conn->stalled_->request,
+                              conn->stalled_->done);
     } catch (const Exception&) {
       reap_conn(loop, conn);
       continue;

@@ -6,6 +6,7 @@
 
 #include "ft/proxy.hpp"
 #include "ft_test_common.hpp"
+#include "obs/flight_recorder.hpp"
 
 namespace ft {
 namespace {
@@ -97,13 +98,27 @@ TEST_F(FaultDetectorTest, SimulatedModeSweepsPeriodically) {
       naming_stub(), FaultDetectorOptions{.period = 1.0,
                                           .suspicion_threshold = 2});
   detector->monitor(service_name());
+  const double start = runtime_->events().now();
   detector->start_simulated(runtime_->events());
   cluster_.crash_host(host_name(3));
   // Sweeps at t=1,2 (relative): confirmed by t=2+.
-  runtime_->events().run_until(runtime_->events().now() + 3.0);
+  runtime_->events().run_until(start + 3.0);
   EXPECT_EQ(detector->faults_detected(), 1u);
   EXPECT_EQ(runtime_->naming().list_offers(service_name()).size(), 3u);
   detector->stop();
+  // The flight recorder stamps the confirmation on the same virtual clock
+  // the sweep runs on: after the confirming sweep began (its pings take
+  // virtual time), before the next one.
+  std::size_t confirmed = 0;
+  for (const auto& event : obs::FlightRecorder::global().events()) {
+    if (event.type != obs::FlightEvent::fault_confirmed) continue;
+    ++confirmed;
+    EXPECT_EQ(event.subject, service_name().to_string());
+    EXPECT_EQ(event.detail, host_name(3));
+    EXPECT_GE(event.t, start + 2.0);
+    EXPECT_LT(event.t, start + 3.0);
+  }
+  EXPECT_EQ(confirmed, 1u);
 }
 
 TEST_F(FaultDetectorTest, ProxyResolvesCleanPoolAfterDetection) {

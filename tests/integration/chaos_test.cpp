@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/flight_recorder.hpp"
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "opt/manager.hpp"
 #include "sim/fault_injector.hpp"
@@ -174,46 +173,38 @@ TEST_F(ChaosTest, DeltaAsyncSameSeedReproducesTraceAndResult) {
 TEST_F(ChaosTest, SameSeedRunsProduceByteIdenticalObservabilityDumps) {
   // The observability layer must obey the same reproducibility contract as
   // the computation itself: spans are stamped from the virtual clock with
-  // ids drawn from the runtime's seed, and timeline events are ordered by
+  // ids drawn from the runtime's seed, and flight events are ordered by
   // the event queue — so two same-seed chaos runs render byte-identical
-  // trace and recovery-timeline dumps.
+  // trace and flight dumps.
   struct ObsDump {
-    std::string timeline;
     std::string spans;
     std::string flight;
   };
   auto observed_run = [&](std::uint64_t fault_seed) {
-    obs::RecoveryTimeline timeline;
     obs::SpanCollector spans;
-    obs::install_timeline(&timeline);
     spans.install();
     const ChaosOutcome outcome = chaos_run(fault_seed);
-    obs::install_timeline(nullptr);
     obs::set_trace_sink(nullptr);
     EXPECT_GE(outcome.result.recoveries, 1u);
     // The always-on flight recorder is cleared per SimRuntime, so its dump
     // covers exactly this run; render before the next run clears it again.
-    return ObsDump{timeline.to_string(), spans.dump(),
-                   obs::FlightRecorder::global().to_text()};
+    return ObsDump{spans.dump(), obs::FlightRecorder::global().to_text()};
   };
 
   const ObsDump first = observed_run(11);
   const ObsDump second = observed_run(11);
-  ASSERT_FALSE(first.timeline.empty());
   ASSERT_FALSE(first.spans.empty());
   ASSERT_FALSE(first.flight.empty());
-  EXPECT_EQ(first.timeline, second.timeline);
   EXPECT_EQ(first.spans, second.spans);
   EXPECT_EQ(first.flight, second.flight);
-  // The timeline saw the whole recovery story, not just the rebind.
-  EXPECT_NE(first.timeline.find("proxy"), std::string::npos);
-  EXPECT_NE(first.timeline.find("recovery started"), std::string::npos);
   EXPECT_NE(first.spans.find("proxy.recover"), std::string::npos);
   EXPECT_NE(first.spans.find("servant.dispatch"), std::string::npos);
-  // And the flight recorder saw RPC traffic plus the recovery steps, without
-  // anything having been wired up in advance.
+  // The flight recorder saw RPC traffic plus the whole recovery story, not
+  // just the rebind, without anything having been wired up in advance.
   EXPECT_NE(first.flight.find("rpc_start"), std::string::npos);
   EXPECT_NE(first.flight.find("recovery_step"), std::string::npos);
+  EXPECT_NE(first.flight.find(" a=recover b="), std::string::npos);
+  EXPECT_NE(first.flight.find(" a=rebound b="), std::string::npos);
 }
 
 TEST_F(ChaosTest, PlainModeAbortsUnderChaos) {

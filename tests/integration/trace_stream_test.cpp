@@ -7,9 +7,9 @@
 // pipeline inherits the simulator's reproducibility.
 //
 // The run crashes a worker host mid-solve, so the stream contains traces
-// that cross a recovery (`proxy.recover` spans) — and the recovery timeline
-// events those recoveries emit carry the same trace id, which is the join
-// `orbtrace --postmortem` is built on.
+// that cross a recovery (`proxy.recover` spans) — and the recovery flight
+// events those recoveries publish live carry the same trace id, which is the
+// join `orbtrace --postmortem` is built on.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -29,7 +29,7 @@ constexpr double kHostSpeed = 1e5;
 
 struct TraceRun {
   std::string report;           ///< trees + attributions + aggregate table
-  std::string joined;           ///< rendered trace-tagged flight/timeline events
+  std::string joined;           ///< rendered trace-tagged flight events
   bool recovery_joined = false; ///< a proxy.recover trace had joined events
 };
 
@@ -49,14 +49,13 @@ TraceRun run_once(std::uint64_t seed) {
   rt::SimRuntime runtime(cluster, options);
   runtime.events().run_until(0.01);
 
-  // The consumer half: spans feed an assembler, trace-tagged flight and
-  // timeline events are kept for the postmortem join.
+  // The consumer half: spans feed an assembler, trace-tagged flight events
+  // are kept for the postmortem join.
   obs::TraceAssembler assembler;
   std::string joined;
   std::map<std::uint64_t, bool> joined_by_trace;
   const std::uint64_t sub = obs::EventChannel::global().subscribe(
-      {.topics = {obs::Topic::trace_span, obs::Topic::flight_event,
-                  obs::Topic::recovery_timeline},
+      {.topics = {obs::Topic::trace_span, obs::Topic::flight_event},
        .queue_limit = 1 << 16},
       [&](std::span<const obs::Event> batch) {
         for (const obs::Event& event : batch) {
@@ -142,7 +141,7 @@ TEST(TraceStreamDeterminism, SameSeedAssemblesByteIdenticalReports) {
   EXPECT_NE(first.report.find("CATEGORY"), std::string::npos);
 
   // A trace that crossed the recovery is joinable with the recovery's own
-  // timeline events by trace id — the postmortem contract.
+  // flight events by trace id — the postmortem contract.
   EXPECT_TRUE(first.recovery_joined);
 
   // A different seed shifts chaos timing: the equality above is not vacuous.

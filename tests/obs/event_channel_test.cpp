@@ -82,9 +82,10 @@ std::uint64_t payload(const Event& event) {
 }
 
 TEST(TopicVocabulary, NamesRoundTripAndDefaultsMatchDesign) {
-  const Topic all[] = {Topic::metrics_delta,     Topic::flight_event,
-                       Topic::load_report,       Topic::recovery_timeline,
-                       Topic::session_state,     Topic::shard_state};
+  const Topic all[] = {Topic::metrics_delta, Topic::flight_event,
+                       Topic::load_report,   Topic::session_state,
+                       Topic::shard_state,   Topic::trace_span};
+  static_assert(std::size(all) == kTopicCount);
   for (Topic topic : all) {
     const auto parsed = parse_topic(to_string(topic));
     ASSERT_TRUE(parsed.has_value()) << to_string(topic);
@@ -101,8 +102,6 @@ TEST(TopicVocabulary, NamesRoundTripAndDefaultsMatchDesign) {
   EXPECT_EQ(default_policy(Topic::load_report),
             OverflowPolicy::coalesce_by_key);
   EXPECT_EQ(default_policy(Topic::flight_event), OverflowPolicy::drop_oldest);
-  EXPECT_EQ(default_policy(Topic::recovery_timeline),
-            OverflowPolicy::drop_oldest);
   EXPECT_EQ(default_policy(Topic::session_state), OverflowPolicy::drop_oldest);
   EXPECT_EQ(default_policy(Topic::shard_state),
             OverflowPolicy::coalesce_by_key);

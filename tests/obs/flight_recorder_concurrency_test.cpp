@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
+
+#include "obs/event_channel.hpp"
 
 namespace obs {
 namespace {
@@ -93,6 +97,67 @@ TEST(FlightRecorderConcurrency, AutoDumpRacesWithWriters) {
   recorder.set_auto_dump_sink(nullptr);
   EXPECT_EQ(recorder.auto_dumps(), 100u);
   EXPECT_EQ(delivered.load(), 100u);
+}
+
+TEST(FlightRecorderConcurrency, LiveReportsRaceRpcWritersWithoutStaleDetail) {
+  // Reporters publish host-bearing recovery events live while rpc writers
+  // reuse the same small ring's slots and a reader decodes it: no rpc event
+  // ever surfaces a detail, and every live event reaches the subscriber.
+  EventChannel::global().reset();
+  EventChannel::global().bind({});
+  std::mutex mu;
+  std::vector<std::string> live_details;
+  EventChannel::global().subscribe(
+      {.topics = {Topic::flight_event}, .queue_limit = 1 << 14},
+      [&](std::span<const Event> batch) {
+        std::lock_guard lock(mu);
+        for (const Event& event : batch)
+          for (const EventField& field : event.fields)
+            if (field.name == "detail") live_details.push_back(field.str);
+      });
+
+  FlightRecorder recorder(32);
+  constexpr std::uint64_t kReports = 500;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([&recorder, w] {
+      const std::string host = "host-" + std::to_string(w);
+      for (std::uint64_t i = 0; i < kReports; ++i)
+        recorder.report(FlightEvent::recovery_step, "svc",
+                        static_cast<std::uint64_t>(RecoveryStep::rebound), i,
+                        host);
+    });
+    threads.emplace_back([&recorder, &stop] {
+      std::uint64_t i = 0;
+      while (!stop.load(std::memory_order_relaxed))
+        recorder.record(FlightEvent::rpc_start, "op", ++i);
+    });
+  }
+  std::thread reader([&recorder, &stop] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (const auto& event : recorder.events()) {
+        if (event.type == FlightEvent::rpc_start)
+          EXPECT_EQ(event.detail, "");
+        else
+          EXPECT_EQ(event.detail.rfind("host-", 0), 0u) << event.detail;
+      }
+    }
+  });
+  threads[0].join();
+  threads[2].join();
+  stop.store(true);
+  threads[1].join();
+  threads[3].join();
+  reader.join();
+  EventChannel::global().flush();
+  {
+    std::lock_guard lock(mu);
+    EXPECT_EQ(live_details.size(), 2 * kReports);
+    for (const std::string& detail : live_details)
+      EXPECT_EQ(detail.rfind("host-", 0), 0u) << detail;
+  }
+  EventChannel::global().reset();
 }
 
 }  // namespace

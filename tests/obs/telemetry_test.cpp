@@ -95,14 +95,12 @@ TEST_F(TelemetryWireTest, MetricsCrossTheWireInEveryFormat) {
   EXPECT_THROW(telemetry.get_metrics("xml"), corba::SystemException);
 }
 
-TEST_F(TelemetryWireTest, FlightRecorderAndTimelineDumpsCrossTheWire) {
+TEST_F(TelemetryWireTest, FlightRecorderDumpCrossesTheWire) {
   FlightRecorder::global().record(FlightEvent::rpc_start, "probe-op", 42);
   TelemetryStub telemetry = install({.host = "node0"});
   const std::string flight = telemetry.get_flight_recorder();
   EXPECT_EQ(flight.find("flight-recorder: "), 0u);
   EXPECT_NE(flight.find("probe-op"), std::string::npos);
-  // No timeline installed: empty, not an error.
-  EXPECT_EQ(telemetry.get_timeline(), "");
 }
 
 TEST_F(TelemetryWireTest, SpansRespectTheLimit) {

@@ -16,6 +16,7 @@
 #include "naming/naming_context.hpp"
 #include "naming/naming_stub.hpp"
 #include "obs/event_channel.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/orbtrace.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
@@ -93,6 +94,60 @@ TEST_F(TracePushTcpTest, SpansCrossTheWireAndAssembleIntoCallTrees) {
 
   // Teardown order: consumer subscriptions, then the channel, then the ORBs
   // (no in-flight push may outlive the consumer's transport).
+  EventChannel::global().reset();
+  watcher_orb->shutdown();
+  server->shutdown();
+}
+
+TEST_F(TracePushTcpTest, PostmortemJoinsEachFlightEventOnceAcrossDumps) {
+  auto server =
+      corba::ORB::init({.endpoint_name = "alpha", .enable_tcp = true});
+  auto [root_servant, root_ref] =
+      naming::NamingContextServant::create_root(server);
+  obs::install_telemetry(server, *root_servant, {.host = "alpha"});
+  auto watcher_orb =
+      corba::ORB::init({.endpoint_name = "watcher", .enable_tcp = true});
+  naming::NamingContextStub root(
+      watcher_orb->string_to_object(server->object_to_string(root_ref)));
+  TraceWatcher watcher(watcher_orb, root);
+
+  // One traced recovery: a step published live as it happens, and an rpc
+  // the ring holds.  Then two overlapping auto-dumps replay the whole ring,
+  // each of them carrying both events again.
+  constexpr std::uint64_t kTrace = 0x5eed;
+  const TraceContext previous =
+      exchange_current_trace(TraceContext{kTrace, kTrace, 0});
+  flight_report(FlightEvent::recovery_step, "Table",
+                static_cast<std::uint64_t>(RecoveryStep::recover));
+  flight_event(FlightEvent::rpc_start, "get", 9);
+  exchange_current_trace(previous);
+  FlightRecorder::global().auto_dump("first");
+  FlightRecorder::global().auto_dump("second");
+  // Delivery is FIFO per subscriber: once this live sentinel has arrived,
+  // so has everything published before it.
+  exchange_current_trace(TraceContext{kTrace, kTrace, 0});
+  flight_report(FlightEvent::checkpoint_drop, "sentinel", 1, 1);
+  exchange_current_trace(previous);
+
+  auto count = [](const std::vector<JoinedEvent>& joined,
+                  const std::string& text) {
+    std::size_t n = 0;
+    for (const JoinedEvent& event : joined) n += event.text == text;
+    return n;
+  };
+  const std::string sentinel = "checkpoint_drop sentinel a=1 b=1";
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (count(watcher.joined_events(kTrace), sentinel) == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "events_received=" << watcher.events_received();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const std::vector<JoinedEvent> joined = watcher.joined_events(kTrace);
+  EXPECT_EQ(count(joined, "recovery_step Table a=recover b=0"), 1u);
+  EXPECT_EQ(count(joined, "rpc_start get a=9 b=0"), 1u);
+  EXPECT_EQ(joined.size(), 3u);
+
   EventChannel::global().reset();
   watcher_orb->shutdown();
   server->shutdown();

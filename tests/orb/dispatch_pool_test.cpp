@@ -1,5 +1,6 @@
 // DispatchPool unit tests: FIFO-per-key ordering, cross-key parallelism,
-// bounded-queue backpressure and drain-on-stop semantics.
+// bounded-queue backpressure (try_submit + space callback) and drain-on-stop
+// semantics.
 #include "orb/dispatch_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -32,6 +33,12 @@ RequestMessage request_for(std::string_view key, std::uint64_t id,
   return req;
 }
 
+// Submits through the reactor's entry point, below the queue limit.
+void submit(DispatchPool& pool, RequestMessage request,
+            DispatchPool::Completion done) {
+  ASSERT_TRUE(pool.try_submit(request, done));
+}
+
 TEST(DispatchPoolTest, ExecutesAndCompletes) {
   DispatchPool pool({.threads = 2}, [](const RequestMessage& req) {
     return ReplyMessage::make_result(req.request_id, Value(std::int32_t(7)));
@@ -40,7 +47,7 @@ TEST(DispatchPoolTest, ExecutesAndCompletes) {
   std::condition_variable cv;
   bool done = false;
   ReplyMessage got;
-  pool.submit(request_for("a", 1), [&](ReplyMessage reply) {
+  submit(pool, request_for("a", 1), [&](ReplyMessage reply) {
     std::lock_guard lock(mu);
     got = std::move(reply);
     done = true;
@@ -76,7 +83,7 @@ TEST(DispatchPoolTest, FifoPerObjectKey) {
   });
   constexpr std::uint64_t kCalls = 64;
   for (std::uint64_t i = 0; i < kCalls; ++i)
-    pool.submit(request_for("serial", i), {});
+    submit(pool, request_for("serial", i), {});
   pool.stop();  // drains before joining
   ASSERT_EQ(order.size(), kCalls);
   for (std::uint64_t i = 0; i < kCalls; ++i) EXPECT_EQ(order[i], i);
@@ -98,8 +105,8 @@ TEST(DispatchPoolTest, DistinctKeysRunInParallel) {
     }
     return ReplyMessage::make_result(req.request_id, Value());
   });
-  pool.submit(request_for("a", 1), {});
-  pool.submit(request_for("b", 2), {});
+  submit(pool, request_for("a", 1), {});
+  submit(pool, request_for("b", 2), {});
   const auto deadline = std::chrono::steady_clock::now() + 5s;
   while (!b_done.load() && std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(1ms);
@@ -112,35 +119,71 @@ TEST(DispatchPoolTest, DistinctKeysRunInParallel) {
   pool.stop();
 }
 
-TEST(DispatchPoolTest, BoundedQueueBlocksSubmitter) {
+TEST(DispatchPoolTest, TrySubmitBouncesAtLimitAndRingsSpaceOnce) {
   std::mutex mu;
   std::condition_variable cv;
   bool release = false;
+  auto set_release = [&](bool value) {
+    std::lock_guard lock(mu);
+    release = value;
+    cv.notify_all();
+  };
   DispatchPool pool({.threads = 1, .queue_limit = 2},
                     [&](const RequestMessage& req) {
                       std::unique_lock lock(mu);
                       cv.wait_for(lock, 5s, [&] { return release; });
                       return ReplyMessage::make_result(req.request_id, Value());
                     });
-  pool.submit(request_for("k", 1), {});  // executing (blocked in dispatch)
-  pool.submit(request_for("k", 2), {});  // queued; pool is now full
-  std::atomic<bool> third_submitted{false};
-  std::thread submitter([&] {
-    pool.submit(request_for("k", 3), {});
-    third_submitted.store(true);
-  });
-  std::this_thread::sleep_for(50ms);
-  EXPECT_FALSE(third_submitted.load()) << "submit did not block at the limit";
+  std::atomic<int> rings{0};
+  pool.set_space_callback([&] { rings.fetch_add(1); });
+  auto wait_until = [](auto done) {
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    while (!done() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(1ms);
+    return done();
+  };
+  submit(pool, request_for("k", 1), {});  // executing (blocked in dispatch)
+  submit(pool, request_for("k", 2), {});  // queued; pool is now full
+
+  // At the limit: bounced, with the caller's request and completion intact
+  // so the reactor can park and retry them.
+  RequestMessage third = request_for("k", 3);
+  std::atomic<bool> completed{false};
+  DispatchPool::Completion done = [&](ReplyMessage) { completed = true; };
+  EXPECT_FALSE(pool.try_submit(third, done));
+  EXPECT_FALSE(pool.try_submit(third, done));  // same armed episode
+  EXPECT_EQ(third.request_id, 3u);
+  EXPECT_EQ(third.object_key, key_of("k"));
+  EXPECT_EQ(third.operation, "op");
+  EXPECT_TRUE(done);
   EXPECT_EQ(pool.depth(), 2u);
-  {
-    std::lock_guard lock(mu);
-    release = true;
-    cv.notify_all();
-  }
-  submitter.join();
-  EXPECT_TRUE(third_submitted.load());
-  pool.stop();
-  EXPECT_EQ(pool.dispatched(), 3u);
+  EXPECT_EQ(rings.load(), 0);
+
+  // Capacity frees as both jobs finish: the edge rings exactly once.
+  set_release(true);
+  ASSERT_TRUE(wait_until([&] { return pool.dispatched() == 2; }));
+  EXPECT_EQ(rings.load(), 1);
+
+  // The retry the ring asks for is accepted and completes, without ringing.
+  ASSERT_TRUE(pool.try_submit(third, done));
+  ASSERT_TRUE(wait_until([&] { return pool.dispatched() == 3; }));
+  EXPECT_TRUE(completed.load());
+  EXPECT_EQ(rings.load(), 1);
+
+  // Full again and armed: stop() rings while the jobs are still blocked, so
+  // a reactor loop parked on the callback wakes to observe the stop.
+  set_release(false);
+  submit(pool, request_for("k", 4), {});
+  submit(pool, request_for("k", 5), {});
+  RequestMessage sixth = request_for("k", 6);
+  DispatchPool::Completion none;
+  EXPECT_FALSE(pool.try_submit(sixth, none));
+  std::thread stopper([&] { pool.stop(); });
+  EXPECT_TRUE(wait_until([&] { return rings.load() == 2; }));
+  set_release(true);
+  stopper.join();
+  EXPECT_EQ(rings.load(), 2);
+  EXPECT_EQ(pool.dispatched(), 5u);
 }
 
 TEST(DispatchPoolTest, StopDrainsQueuedWork) {
@@ -150,7 +193,7 @@ TEST(DispatchPoolTest, StopDrainsQueuedWork) {
     executed.fetch_add(1);
     return ReplyMessage::make_result(req.request_id, Value());
   });
-  for (std::uint64_t i = 0; i < 20; ++i) pool.submit(request_for("k", i), {});
+  for (std::uint64_t i = 0; i < 20; ++i) submit(pool, request_for("k", i), {});
   pool.stop();
   EXPECT_EQ(executed.load(), 20);
   EXPECT_EQ(pool.depth(), 0u);
@@ -161,14 +204,16 @@ TEST(DispatchPoolTest, SubmitAfterStopThrows) {
     return ReplyMessage::make_result(req.request_id, Value());
   });
   pool.stop();
-  EXPECT_THROW(pool.submit(request_for("k", 1), {}), BAD_INV_ORDER);
+  RequestMessage request = request_for("k", 1);
+  DispatchPool::Completion done;
+  EXPECT_THROW(pool.try_submit(request, done), BAD_INV_ORDER);
 }
 
 TEST(DispatchPoolTest, CompletionExceptionIsSwallowed) {
   DispatchPool pool({.threads = 1}, [](const RequestMessage& req) {
     return ReplyMessage::make_result(req.request_id, Value());
   });
-  pool.submit(request_for("k", 1),
+  submit(pool, request_for("k", 1),
               [](ReplyMessage) { throw std::runtime_error("dead connection"); });
   pool.stop();  // must not terminate / rethrow
   EXPECT_EQ(pool.dispatched(), 1u);
@@ -180,7 +225,7 @@ TEST(DispatchPoolTest, OnewayGetsNoCompletion) {
     return ReplyMessage::make_result(req.request_id, Value());
   });
   RequestMessage req = request_for("k", 1, /*response_expected=*/false);
-  pool.submit(std::move(req), [&](ReplyMessage) { completed.store(true); });
+  submit(pool, std::move(req), [&](ReplyMessage) { completed.store(true); });
   pool.stop();
   EXPECT_FALSE(completed.load());
   EXPECT_EQ(pool.dispatched(), 1u);

@@ -2,8 +2,8 @@
 // corbaft cluster.
 //
 // Connects to the naming service, subscribes through every `_obs/*`
-// telemetry servant for the `trace.span` stream (plus `flight.event` and
-// `recovery.timeline` for the postmortem join), collects for a while, then
+// telemetry servant for the `trace.span` stream (plus `flight.event` for
+// the postmortem join), collects for a while, then
 // stitches the per-host span streams into call trees and answers "which
 // traces were slowest, and where did each spend its time?" — per-category
 // critical-path attribution (rpc / marshal / transport / dispatch / resolve
@@ -18,8 +18,9 @@
 //   orbtrace --collect <seconds>   collection window (default 2)
 //   orbtrace --slowest <n>         traces in the report (default 5)
 //   orbtrace --trace <16-hex-id>   render one trace (tree + attribution)
-//   orbtrace --postmortem          append the joined flight/timeline events
-//                                  (recovery postmortem) to each rendering
+//   orbtrace --postmortem          append the trace's flight events (live
+//                                  recovery steps and auto-dump replays,
+//                                  each once) to each rendering
 //   orbtrace --json                machine-readable report
 #include <chrono>
 #include <cstdio>
