@@ -68,23 +68,21 @@ CheckpointPipeline::~CheckpointPipeline() {
 }
 
 void CheckpointPipeline::note_acked(std::uint64_t version,
-                                    const corba::Blob& state) {
+                                    corba::Blob&& state) {
   if (config_.mode == CheckpointMode::full_sync) return;
   acked_version_ = version;
-  acked_size_ = state.size();
-  acked_fingerprints_ = chunk_fingerprints(state, config_.chunk_size);
+  acked_state_ = std::move(state);
   have_acked_ = true;
 }
 
-void CheckpointPipeline::ship_now(std::uint64_t version,
-                                  const corba::Blob& state) {
+void CheckpointPipeline::ship_now(std::uint64_t version, corba::Blob& state) {
   PipelineMetrics& metrics = pipeline_metrics();
   obs::Span span("checkpoint.store", config_.key);
   const bool timed = span.active();
   const double start = timed ? obs::now() : 0.0;
   if (config_.mode != CheckpointMode::full_sync && have_acked_) {
-    const StateDelta delta = StateDelta::diff(
-        acked_fingerprints_, acked_size_, state, config_.chunk_size);
+    const StateDelta delta =
+        StateDelta::diff(acked_state_, state, config_.chunk_size);
     // A delta only pays off when the shipped payload is smaller than the
     // state itself; a mostly-dirty state goes as a full snapshot (which
     // also resets the store's chain).
@@ -94,7 +92,7 @@ void CheckpointPipeline::ship_now(std::uint64_t version,
         config_.store->store_delta(config_.key, acked_version_, version,
                                    encoded);
         bytes_shipped_ += encoded.size();
-        note_acked(version, state);
+        note_acked(version, std::move(state));
         ++delta_stores_;
         metrics.stores.inc();
         metrics.delta_stores.inc();
@@ -118,18 +116,18 @@ void CheckpointPipeline::ship_now(std::uint64_t version,
     }
   }
   config_.store->store(config_.key, version, state);
-  bytes_shipped_ += state.size();
-  note_acked(version, state);
+  const std::size_t size = state.size();
+  bytes_shipped_ += size;
+  note_acked(version, std::move(state));
   ++full_stores_;
   metrics.stores.inc();
-  metrics.bytes_shipped.inc(state.size());
+  metrics.bytes_shipped.inc(size);
   obs::flight_event(obs::FlightEvent::checkpoint_ship, config_.key, version,
-                    state.size());
+                    size);
   if (timed) metrics.store_latency.record(obs::now() - start);
 }
 
-bool CheckpointPipeline::try_ship(std::uint64_t version,
-                                  const corba::Blob& state) {
+bool CheckpointPipeline::try_ship(std::uint64_t version, corba::Blob& state) {
   for (int attempt = 1;; ++attempt) {
     try {
       ship_now(version, state);

@@ -2,8 +2,11 @@
 //
 // The paper's proxy blocks every successful call on a full-state store
 // round-trip.  The pipeline removes both costs independently:
-//   * delta modes diff the captured state against the last checkpoint the
-//     store acknowledged and ship only changed chunks (ft/delta.hpp);
+//   * delta modes keep the bytes of the last checkpoint the store
+//     acknowledged (moved out of the shipped capture, so one state copy per
+//     delta-mode pipeline and none in full-sync), compare the next capture
+//     against them chunk by chunk and ship only the chunks that differ
+//     (ft/delta.hpp);
 //   * async mode decouples the caller from the store round-trip entirely —
 //     the capture is enqueued (bounded queue, oldest entry coalesced away
 //     when full) and written by a background path: a worker thread under
@@ -118,11 +121,13 @@ class CheckpointPipeline {
   }
 
   /// One shipping attempt: delta against the acked base when possible and
-  /// profitable, full store otherwise.  Throws on transport/store failure.
-  void ship_now(std::uint64_t version, const corba::Blob& state);
+  /// profitable, full store otherwise.  On success the delta modes move
+  /// `state` into the acked base; on a transport/store failure it throws
+  /// and leaves `state` intact for the next attempt.
+  void ship_now(std::uint64_t version, corba::Blob& state);
   /// Async attempt loop; returns false when the capture was dropped.
-  bool try_ship(std::uint64_t version, const corba::Blob& state);
-  void note_acked(std::uint64_t version, const corba::Blob& state);
+  bool try_ship(std::uint64_t version, corba::Blob& state);
+  void note_acked(std::uint64_t version, corba::Blob&& state);
 
   void enqueue(Item item);
   void drain_deferred();
@@ -131,12 +136,11 @@ class CheckpointPipeline {
 
   Config config_;
 
-  // Acked-base fingerprint cache: touched only by the shipping side (the
+  // Acked base (delta modes only): touched only by the shipping side (the
   // caller in sync modes, the drain/worker in async mode).
   bool have_acked_ = false;
   std::uint64_t acked_version_ = 0;
-  std::size_t acked_size_ = 0;
-  std::vector<std::uint64_t> acked_fingerprints_;
+  corba::Blob acked_state_;
 
   std::mutex mu_;
   std::condition_variable wake_;

@@ -22,19 +22,6 @@ std::uint64_t fnv1a(std::span<const std::byte> bytes) noexcept {
   return hash;
 }
 
-std::vector<std::uint64_t> chunk_fingerprints(std::span<const std::byte> state,
-                                              std::uint32_t chunk_size) {
-  if (chunk_size == 0)
-    throw corba::BAD_PARAM("chunk size must be positive");
-  std::vector<std::uint64_t> fingerprints;
-  fingerprints.reserve((state.size() + chunk_size - 1) / chunk_size);
-  for (std::size_t off = 0; off < state.size(); off += chunk_size)
-    fingerprints.push_back(
-        fnv1a(state.subspan(off, std::min<std::size_t>(chunk_size,
-                                                       state.size() - off))));
-  return fingerprints;
-}
-
 std::size_t StateDelta::payload_bytes() const noexcept {
   std::size_t total = 0;
   for (const DeltaChunk& chunk : chunks) total += chunk.bytes.size();
@@ -80,8 +67,7 @@ StateDelta StateDelta::decode(std::span<const std::byte> blob) {
   return delta;
 }
 
-StateDelta StateDelta::diff(std::span<const std::uint64_t> base_fingerprints,
-                            std::size_t base_size,
+StateDelta StateDelta::diff(std::span<const std::byte> base,
                             std::span<const std::byte> next,
                             std::uint32_t chunk_size) {
   if (chunk_size == 0)
@@ -95,12 +81,12 @@ StateDelta StateDelta::diff(std::span<const std::uint64_t> base_fingerprints,
         std::min<std::size_t>(chunk_size, next.size() - off);
     const std::span<const std::byte> chunk = next.subspan(off, len);
     // The matching base chunk must exist with the same length (a trailing
-    // partial chunk that grew or shrank always ships) and fingerprint.
+    // partial chunk that grew or shrank always ships) and the same bytes.
     const std::size_t base_len =
-        off < base_size ? std::min<std::size_t>(chunk_size, base_size - off)
-                        : 0;
-    if (index < base_fingerprints.size() && base_len == len &&
-        base_fingerprints[index] == fnv1a(chunk))
+        off < base.size() ? std::min<std::size_t>(chunk_size, base.size() - off)
+                          : 0;
+    if (base_len == len &&
+        std::memcmp(base.data() + off, chunk.data(), len) == 0)
       continue;
     delta.chunks.push_back(
         {static_cast<std::uint32_t>(index), corba::Blob(chunk.begin(), chunk.end())});

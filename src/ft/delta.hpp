@@ -4,11 +4,11 @@
 // store after every successful call and calls that store "rather
 // inefficient".  This module supplies the incremental alternative (in the
 // spirit of libckpt-style incremental checkpointing): the state blob is cut
-// into fixed-size chunks, each chunk is fingerprinted with 64-bit FNV-1a,
-// and only the chunks whose fingerprint moved since the last acknowledged
-// checkpoint travel to the store.  The store keeps a bounded delta chain
-// per key and materializes base + replay on load, so readers (recovery,
-// migration) never see anything but a full state blob.
+// into fixed-size chunks, each chunk is compared byte for byte against the
+// last acknowledged checkpoint, and only the chunks that differ travel to
+// the store.  The store keeps a bounded delta chain per key and
+// materializes base + replay on load, so readers (recovery, migration)
+// never see anything but a full state blob.
 #pragma once
 
 #include <cstdint>
@@ -20,18 +20,14 @@
 namespace ft {
 
 /// Default diff granularity.  Small enough that a localized mutation ships
-/// a few KiB, large enough that the per-chunk bookkeeping (4-byte index +
-/// 4-byte length on the wire, 8-byte fingerprint in memory) stays noise.
+/// a few KiB, large enough that the per-chunk wire bookkeeping (4-byte
+/// index + 4-byte length) stays noise.
 inline constexpr std::uint32_t kDefaultChunkSize = 4096;
 
-/// 64-bit FNV-1a over `bytes` (pure C++, no deps — the fingerprint the
-/// proxy uses to detect changed chunks).
+/// Standard 64-bit FNV-1a over `bytes`.  ft::HashRing places keys on
+/// shards with it, so its output is part of the store layout and must
+/// never change.
 std::uint64_t fnv1a(std::span<const std::byte> bytes) noexcept;
-
-/// Per-chunk FNV-1a fingerprints of `state` split into `chunk_size`d
-/// pieces (the final chunk may be short).  Empty state -> empty vector.
-std::vector<std::uint64_t> chunk_fingerprints(std::span<const std::byte> state,
-                                              std::uint32_t chunk_size);
 
 /// One changed chunk: its index in the chunked state and its new bytes.
 struct DeltaChunk {
@@ -54,11 +50,9 @@ struct StateDelta {
   /// Throws corba::MARSHAL on a corrupt or unsupported encoding.
   static StateDelta decode(std::span<const std::byte> blob);
 
-  /// Diff of `next` against a base described by its fingerprints and size.
-  /// A chunk ships when it is new, its length changed (trailing partial
-  /// chunk), or its fingerprint moved.
-  static StateDelta diff(std::span<const std::uint64_t> base_fingerprints,
-                         std::size_t base_size,
+  /// Exact diff of `next` against `base`.  A chunk ships when it is new,
+  /// its length changed (trailing partial chunk), or its bytes differ.
+  static StateDelta diff(std::span<const std::byte> base,
                          std::span<const std::byte> next,
                          std::uint32_t chunk_size);
 

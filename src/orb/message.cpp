@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <utility>
 
 namespace corba {
 
@@ -267,7 +268,7 @@ std::size_t ReplyMessage::encoded_size_estimate() const noexcept {
          (has_session ? 24 : 0);
 }
 
-Value ReplyMessage::result_or_throw() const {
+Value ReplyMessage::result_or_throw() const& {
   switch (status) {
     case ReplyStatus::no_exception:
       return result;
@@ -278,6 +279,11 @@ Value ReplyMessage::result_or_throw() const {
                              completion);
   }
   throw INTERNAL("corrupt reply status");
+}
+
+Value ReplyMessage::result_or_throw() && {
+  if (status == ReplyStatus::no_exception) return std::move(result);
+  return std::as_const(*this).result_or_throw();
 }
 
 ReplyMessage ReplyMessage::make_result(std::uint64_t request_id, Value result) {

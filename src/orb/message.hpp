@@ -179,7 +179,9 @@ struct ReplyMessage {
   /// Returns the result, or throws the carried exception (system exceptions
   /// are rethrown as their concrete type; user exceptions go through the
   /// UserExceptionRegistry).
-  Value result_or_throw() const;
+  Value result_or_throw() const&;
+  /// Same, moving the result out instead of copying it.
+  Value result_or_throw() &&;
 
   static ReplyMessage make_result(std::uint64_t request_id, Value result);
   static ReplyMessage make_system_exception(std::uint64_t request_id,

@@ -218,19 +218,18 @@ Value ORB::invoke(const IOR& target, std::string_view op, ValueSeq args) {
   const bool timed = span.active();  // latency is sampled while tracing is on
   const double start = timed ? obs::now() : 0.0;
   const std::uint64_t request_id = req.request_id;
-  const std::string operation = req.operation;  // survives the move below
-  obs::flight_event(obs::FlightEvent::rpc_start, operation, request_id);
+  obs::flight_event(obs::FlightEvent::rpc_start, op, request_id);
   ReplyMessage reply;
   try {
     reply = transport_for(target).invoke(target, std::move(req));
   } catch (...) {
-    obs::flight_event(obs::FlightEvent::rpc_end, operation, request_id, 1);
+    obs::flight_event(obs::FlightEvent::rpc_end, op, request_id, 1);
     throw;
   }
   if (timed) metrics.latency.record(obs::now() - start);
-  obs::flight_event(obs::FlightEvent::rpc_end, operation, request_id,
+  obs::flight_event(obs::FlightEvent::rpc_end, op, request_id,
                     reply.status == ReplyStatus::no_exception ? 0 : 1);
-  return reply.result_or_throw();
+  return std::move(reply).result_or_throw();
 }
 
 void ORB::send_oneway(const IOR& target, std::string_view op, ValueSeq args) {

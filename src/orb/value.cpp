@@ -89,8 +89,13 @@ const std::string& Value::as_string() const {
   kind_error(Kind::string);
 }
 
-const Blob& Value::as_blob() const {
+const Blob& Value::as_blob() const& {
   if (const auto* v = std::get_if<Blob>(&data_)) return *v;
+  kind_error(Kind::blob);
+}
+
+Blob Value::as_blob() && {
+  if (auto* v = std::get_if<Blob>(&data_)) return std::move(*v);
   kind_error(Kind::blob);
 }
 

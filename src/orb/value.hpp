@@ -75,7 +75,9 @@ class Value {
   std::uint32_t as_u32() const;
   double as_f64() const;
   const std::string& as_string() const;
-  const Blob& as_blob() const;
+  const Blob& as_blob() const&;
+  /// Moves the blob out of an expiring Value (e.g. an invoke() result).
+  Blob as_blob() &&;
   const std::vector<double>& as_f64_seq() const;
   const ValueSeq& as_sequence() const;
   ValueSeq& as_sequence();

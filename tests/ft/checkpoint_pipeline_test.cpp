@@ -1,9 +1,14 @@
 // Tests for the checkpoint shipping pipeline: mode semantics, delta
 // fallback, async queueing/coalescing, the flush barrier, failure
-// accounting, and the worker-thread backend.
+// accounting, the worker-thread backend, and exactness of the delta diff
+// against the acked base.
 #include "ft/checkpoint_pipeline.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <random>
 
 #include "ft/delta.hpp"
 
@@ -270,6 +275,184 @@ TEST(CheckpointPipeline, DestructorDrainsWorkerThreadQueue) {
   const auto loaded = store->load("svc");
   ASSERT_TRUE(loaded);
   EXPECT_EQ(loaded->version, 2u);
+}
+
+/// Store decorator that records every delta it accepts, decoded.
+class RecordingStore : public CheckpointStoreClient {
+ public:
+  struct Shipped {
+    std::uint64_t base_version = 0;
+    std::uint64_t version = 0;
+    StateDelta delta;
+  };
+
+  void store(const std::string& key, std::uint64_t version,
+             const corba::Blob& state) override {
+    inner_.store(key, version, state);
+  }
+  void store_delta(const std::string& key, std::uint64_t base_version,
+                   std::uint64_t version, const corba::Blob& delta) override {
+    inner_.store_delta(key, base_version, version, delta);
+    shipped.push_back({base_version, version, StateDelta::decode(delta)});
+  }
+  std::optional<Checkpoint> load(const std::string& key) override {
+    return inner_.load(key);
+  }
+  void remove(const std::string& key) override { inner_.remove(key); }
+  std::vector<std::string> keys() override { return inner_.keys(); }
+
+  std::vector<Shipped> shipped;
+
+ private:
+  MemoryCheckpointStore inner_;
+};
+
+/// Indices of the chunks of `next` that are new, changed length, or hold
+/// different bytes than the same chunk of `base` — computed independently
+/// of StateDelta::diff.
+std::vector<std::uint32_t> differing_chunks(const corba::Blob& base,
+                                            const corba::Blob& next,
+                                            std::size_t chunk) {
+  std::vector<std::uint32_t> indices;
+  for (std::size_t off = 0; off < next.size(); off += chunk) {
+    const std::size_t len = std::min(chunk, next.size() - off);
+    const std::size_t base_len =
+        off < base.size() ? std::min(chunk, base.size() - off) : 0;
+    if (base_len != len ||
+        !std::equal(next.begin() + off, next.begin() + off + len,
+                    base.begin() + off))
+      indices.push_back(static_cast<std::uint32_t>(off / chunk));
+  }
+  return indices;
+}
+
+/// Drives a pipeline through a seeded random mutation sequence that
+/// includes growing and shrinking across a chunk boundary, a one-byte change
+/// in a chunk's last byte, and a chunk that changes and then returns to its
+/// previous bytes.  After every submit (sync) or flush (async) the store
+/// must hold the last capture, and every shipped delta must carry exactly
+/// the chunks whose bytes differ from the base it names.
+void exercise_exact_diff(CheckpointMode mode, std::uint64_t seed) {
+  constexpr std::uint32_t kChunk = 256;
+  auto store = std::make_shared<RecordingStore>();
+  ManualExecutor executor;
+  auto config = base_config(store, mode);
+  config.chunk_size = kChunk;
+  const bool async = mode == CheckpointMode::delta_async;
+  if (async) {
+    config.defer = executor.hook();
+    config.depth = 1;  // a pending capture is coalesced by the next one
+  }
+  CheckpointPipeline pipeline(std::move(config));
+
+  std::mt19937_64 rng(seed);
+  corba::Blob state(8 * kChunk);
+  for (std::byte& b : state) b = static_cast<std::byte>(rng());
+  std::map<std::uint64_t, corba::Blob> captures;
+  std::size_t checked = 0;
+  std::uint64_t version = 0;
+  std::optional<std::pair<std::size_t, corba::Blob>> revert;
+
+  const auto verify = [&](const std::string& where) {
+    const auto loaded = store->load("svc");
+    ASSERT_TRUE(loaded) << where;
+    EXPECT_EQ(loaded->version, version) << where;
+    ASSERT_EQ(loaded->state, state) << where;
+    for (; checked < store->shipped.size(); ++checked) {
+      const RecordingStore::Shipped& s = store->shipped[checked];
+      const corba::Blob& base = captures.at(s.base_version);
+      const corba::Blob& next = captures.at(s.version);
+      ASSERT_EQ(s.delta.chunk_size, kChunk) << where;
+      ASSERT_EQ(s.delta.new_size, next.size()) << where;
+      std::vector<std::uint32_t> indices;
+      for (const DeltaChunk& c : s.delta.chunks) {
+        indices.push_back(c.index);
+        const std::size_t off = std::size_t{c.index} * kChunk;
+        ASSERT_LE(off + c.bytes.size(), next.size()) << where;
+        EXPECT_TRUE(std::equal(c.bytes.begin(), c.bytes.end(),
+                               next.begin() + off))
+            << where << " chunk " << c.index;
+      }
+      EXPECT_EQ(indices, differing_chunks(base, next, kChunk))
+          << where << " delta " << s.base_version << "->" << s.version;
+    }
+  };
+
+  for (int step = 0; step < 120; ++step) {
+    const std::size_t chunks = (state.size() + kChunk - 1) / kChunk;
+    const std::size_t pick = rng() % chunks;
+    if (revert) {
+      // Put a changed chunk back to the bytes it held before.
+      std::copy(revert->second.begin(), revert->second.end(),
+                state.begin() + revert->first * kChunk);
+      revert.reset();
+    } else {
+      switch (step % 6) {
+        case 0:  // one random byte
+          state[rng() % state.size()] ^= std::byte{0x5a};
+          break;
+        case 1: {  // one-byte change in a chunk's last byte
+          const std::size_t last =
+              std::min((pick + 1) * kChunk, state.size()) - 1;
+          state[last] ^= std::byte{0x01};
+          break;
+        }
+        case 2: {  // grow across a chunk boundary
+          const std::size_t to =
+              (state.size() / kChunk + 1) * kChunk + rng() % kChunk;
+          while (state.size() < to) state.push_back(static_cast<std::byte>(rng()));
+          break;
+        }
+        case 3:  // shrink across a chunk boundary
+          if (state.size() > 3 * kChunk)
+            state.resize((state.size() / kChunk - 1) * kChunk - rng() % kChunk);
+          break;
+        case 4: {  // change a whole chunk; the next step reverts it
+          const std::size_t off = pick * kChunk;
+          const std::size_t len = std::min<std::size_t>(kChunk, state.size() - off);
+          revert.emplace(pick, corba::Blob(state.begin() + off,
+                                           state.begin() + off + len));
+          for (std::size_t i = off; i < off + len; ++i)
+            state[i] = static_cast<std::byte>(rng());
+          break;
+        }
+        default:  // unchanged capture
+          break;
+      }
+    }
+    captures[++version] = state;
+    pipeline.submit(version, corba::Blob(state));
+    const std::string where = "step " + std::to_string(step);
+    if (!async) {
+      verify(where);
+    } else if (!revert && rng() % 2 == 0) {
+      // Never between a change and its revert: the change is coalesced
+      // away and the revert is diffed against the unchanged acked base.
+      if (rng() % 2 == 0) {
+        pipeline.flush();
+      } else {
+        executor.run_all();
+      }
+      verify(where);
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  pipeline.flush();
+  verify("final");
+  EXPECT_GT(pipeline.delta_stores(), 10u);
+  if (async) {
+    EXPECT_GT(pipeline.coalesced(), 0u);
+  }
+}
+
+TEST(CheckpointPipeline, DeltaSyncDiffIsExactUnderRandomMutations) {
+  for (const std::uint64_t seed : {1u, 2u, 3u})
+    exercise_exact_diff(CheckpointMode::delta_sync, seed);
+}
+
+TEST(CheckpointPipeline, DeferredDeltaAsyncDiffIsExactUnderRandomMutations) {
+  for (const std::uint64_t seed : {1u, 2u, 3u})
+    exercise_exact_diff(CheckpointMode::delta_async, seed);
 }
 
 TEST(CheckpointPipeline, RejectsInvalidConfig) {

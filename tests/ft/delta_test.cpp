@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <random>
+#include <string_view>
 
 #include "ft/checkpoint_store.hpp"
 #include "orb/orb.hpp"
@@ -48,6 +49,16 @@ corba::Blob mutate(corba::Blob state, std::mt19937_64& rng) {
   return state;
 }
 
+TEST(Fnv1a, MatchesStandardVectors) {
+  // FNV-1a-64 reference values; shard placement depends on them.
+  const auto hash = [](std::string_view text) {
+    return fnv1a(std::as_bytes(std::span(text.data(), text.size())));
+  };
+  EXPECT_EQ(hash(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(hash("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(hash("foobar"), 0x85944171f73967e8ull);
+}
+
 TEST(StateDelta, DiffDetectsChangedChunksOnly) {
   const corba::Blob base = pattern_blob(4 * kDefaultChunkSize);
   corba::Blob next = base;
@@ -55,8 +66,7 @@ TEST(StateDelta, DiffDetectsChangedChunksOnly) {
   next[2 * kDefaultChunkSize + 7] = std::byte{0x42};  // chunk 2
 
   const StateDelta delta =
-      StateDelta::diff(chunk_fingerprints(base, kDefaultChunkSize),
-                       base.size(), next, kDefaultChunkSize);
+      StateDelta::diff(base, next, kDefaultChunkSize);
   ASSERT_EQ(delta.chunks.size(), 2u);
   EXPECT_EQ(delta.chunks[0].index, 0u);
   EXPECT_EQ(delta.chunks[1].index, 2u);
@@ -66,8 +76,7 @@ TEST(StateDelta, DiffDetectsChangedChunksOnly) {
 TEST(StateDelta, IdenticalStatesProduceEmptyDelta) {
   const corba::Blob base = pattern_blob(3 * kDefaultChunkSize + 100);
   const StateDelta delta =
-      StateDelta::diff(chunk_fingerprints(base, kDefaultChunkSize),
-                       base.size(), base, kDefaultChunkSize);
+      StateDelta::diff(base, base, kDefaultChunkSize);
   EXPECT_TRUE(delta.chunks.empty());
   EXPECT_EQ(delta.apply(base), base);
 }
@@ -77,8 +86,7 @@ TEST(StateDelta, GrowthAndShrinkRoundTrip) {
   for (const std::size_t next_size : {0ul, 1ul, 4096ul, 9999ul, 30000ul}) {
     corba::Blob next = pattern_blob(next_size, 7);
     const StateDelta delta =
-        StateDelta::diff(chunk_fingerprints(base, kDefaultChunkSize),
-                         base.size(), next, kDefaultChunkSize);
+        StateDelta::diff(base, next, kDefaultChunkSize);
     EXPECT_EQ(delta.apply(base), next) << "next_size=" << next_size;
   }
 }
@@ -87,8 +95,7 @@ TEST(StateDelta, EncodeDecodeRoundTrip) {
   const corba::Blob base = pattern_blob(3 * 512);
   corba::Blob next = base;
   next[600] = std::byte{0xff};
-  const StateDelta delta = StateDelta::diff(chunk_fingerprints(base, 512),
-                                            base.size(), next, 512);
+  const StateDelta delta = StateDelta::diff(base, next, 512);
   const corba::Blob wire = delta.encode();
   const StateDelta decoded = StateDelta::decode(wire);
   EXPECT_EQ(decoded.chunk_size, delta.chunk_size);
@@ -114,8 +121,7 @@ TEST(StateDelta, RandomizedDiffApplyProperty) {
     for (int step = 0; step < 15; ++step) {
       const corba::Blob next = mutate(state, rng);
       const StateDelta delta =
-          StateDelta::diff(chunk_fingerprints(state, kDefaultChunkSize),
-                           state.size(), next, kDefaultChunkSize);
+          StateDelta::diff(state, next, kDefaultChunkSize);
       ASSERT_EQ(delta.apply(state), next)
           << "round " << round << " step " << step;
       state = next;
@@ -133,8 +139,7 @@ void exercise_delta_contract(Store& store) {
   corba::Blob v2 = v1;
   v2[10] = std::byte{0xee};
   const StateDelta d2 =
-      StateDelta::diff(chunk_fingerprints(v1, kDefaultChunkSize), v1.size(),
-                       v2, kDefaultChunkSize);
+      StateDelta::diff(v1, v2, kDefaultChunkSize);
   store.store_delta("k", 1, 2, d2.encode());
 
   auto loaded = store.load("k");
@@ -178,8 +183,7 @@ void exercise_delta_chain_property(Store& store) {
   for (int step = 0; step < 40; ++step) {
     const corba::Blob next = mutate(state, rng);
     const StateDelta delta =
-        StateDelta::diff(chunk_fingerprints(state, kDefaultChunkSize),
-                         state.size(), next, kDefaultChunkSize);
+        StateDelta::diff(state, next, kDefaultChunkSize);
     store.store_delta("chain", version, version + 1, delta.encode());
     ++version;
     state = next;
@@ -211,8 +215,7 @@ TEST(MemoryCheckpointStoreDelta, ChargesShippedBytesNotStateBytes) {
   corba::Blob v2 = v1;
   v2[0] = ~v2[0];
   const corba::Blob delta =
-      StateDelta::diff(chunk_fingerprints(v1, kDefaultChunkSize), v1.size(),
-                       v2, kDefaultChunkSize)
+      StateDelta::diff(v1, v2, kDefaultChunkSize)
           .encode();
   sim::WorkScope scope;
   store.store_delta("k", 1, 2, delta);
@@ -231,13 +234,11 @@ TEST(FileCheckpointStoreDelta, ChainSurvivesReopen) {
     store.store("k", 1, v1);
     store.store_delta(
         "k", 1, 2,
-        StateDelta::diff(chunk_fingerprints(v1, kDefaultChunkSize), v1.size(),
-                         v2, kDefaultChunkSize)
+        StateDelta::diff(v1, v2, kDefaultChunkSize)
             .encode());
     store.store_delta(
         "k", 2, 3,
-        StateDelta::diff(chunk_fingerprints(v2, kDefaultChunkSize), v2.size(),
-                         v3, kDefaultChunkSize)
+        StateDelta::diff(v2, v3, kDefaultChunkSize)
             .encode());
   }
   FileCheckpointStore reopened(dir);
@@ -262,13 +263,11 @@ TEST(FileCheckpointStoreDelta, DiscardsOrphanSegments) {
     store.store("k", 1, v1);
     store.store_delta(
         "k", 1, 2,
-        StateDelta::diff(chunk_fingerprints(v1, kDefaultChunkSize), v1.size(),
-                         v2, kDefaultChunkSize)
+        StateDelta::diff(v1, v2, kDefaultChunkSize)
             .encode());
     store.store_delta(
         "k", 2, 3,
-        StateDelta::diff(chunk_fingerprints(v2, kDefaultChunkSize), v2.size(),
-                         v3, kDefaultChunkSize)
+        StateDelta::diff(v2, v3, kDefaultChunkSize)
             .encode());
   }
 
@@ -305,8 +304,7 @@ TEST(FileCheckpointStoreDelta, DiscardsSegmentsWithoutBase) {
     store.store("k", 1, v1);
     store.store_delta(
         "k", 1, 2,
-        StateDelta::diff(chunk_fingerprints(v1, kDefaultChunkSize), v1.size(),
-                         v2, kDefaultChunkSize)
+        StateDelta::diff(v1, v2, kDefaultChunkSize)
             .encode());
   }
   for (const auto& entry : fs::directory_iterator(dir)) {

@@ -45,8 +45,7 @@ corba::Blob mutate(corba::Blob state, std::size_t index, char value) {
 /// Encoded StateDelta turning `base` into `next` (the wire payload
 /// store_delta ships).
 corba::Blob delta_between(const corba::Blob& base, const corba::Blob& next) {
-  return StateDelta::diff(chunk_fingerprints(base, kChunk), base.size(), next,
-                          kChunk)
+  return StateDelta::diff(base, next, kChunk)
       .encode();
 }
 

@@ -39,8 +39,7 @@ corba::Blob mutate(corba::Blob state, std::size_t index, char value) {
 }
 
 corba::Blob delta_between(const corba::Blob& base, const corba::Blob& next) {
-  return StateDelta::diff(chunk_fingerprints(base, kChunk), base.size(), next,
-                          kChunk)
+  return StateDelta::diff(base, next, kChunk)
       .encode();
 }
 
@@ -100,6 +99,22 @@ TEST(HashRing, IsDeterministicAcrossInstances) {
   for (int i = 0; i < 200; ++i) {
     const std::string key = "object-" + std::to_string(i);
     EXPECT_EQ(a.shard_for(key), b.shard_for(key)) << key;
+  }
+}
+
+TEST(HashRing, PinsKeysToFixedShards) {
+  // Placement is part of the store layout: a change here moves existing
+  // checkpoints to shards that do not hold them.
+  const HashRing eight(8, 64);
+  const std::vector<std::size_t> on_eight = {0, 3, 0, 2, 2, 0,
+                                             0, 0, 7, 4, 6, 3};
+  const HashRing three(3, 64);
+  const std::vector<std::size_t> on_three = {0, 2, 0, 2, 2, 0,
+                                             0, 0, 1, 1, 1, 2};
+  for (std::size_t i = 0; i < on_eight.size(); ++i) {
+    const std::string key = "object-" + std::to_string(i);
+    EXPECT_EQ(eight.shard_for(key), on_eight[i]) << key;
+    EXPECT_EQ(three.shard_for(key), on_three[i]) << key;
   }
 }
 
