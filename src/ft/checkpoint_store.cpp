@@ -483,6 +483,10 @@ CheckpointStoreServant::CheckpointStoreServant(
   if (!impl_) throw corba::BAD_PARAM("null checkpoint store backend");
 }
 
+bool CheckpointStoreServant::non_blocking() const noexcept {
+  return dynamic_cast<const MemoryCheckpointStore*>(impl_.get()) != nullptr;
+}
+
 corba::Value CheckpointStoreServant::dispatch(std::string_view op,
                                               const corba::ValueSeq& args) {
   if (op == "store") {

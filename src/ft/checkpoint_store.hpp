@@ -211,6 +211,8 @@ class CheckpointStoreServant final : public corba::Servant {
   }
   corba::Value dispatch(std::string_view op,
                         const corba::ValueSeq& args) override;
+  /// Only over a MemoryCheckpointStore (the others wait on disk or peers).
+  bool non_blocking() const noexcept override;
 
  private:
   std::shared_ptr<CheckpointStoreClient> impl_;

@@ -5,6 +5,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "winner/system_manager.hpp"
 
 namespace naming {
 
@@ -49,6 +50,11 @@ NamingContextServant::create_root(const std::shared_ptr<corba::ORB>& orb,
       new NamingContextServant(orb, std::move(options)));
   servant->self_ = orb->activate(servant, "NamingContext");
   return {servant, servant->self_};
+}
+
+bool NamingContextServant::non_blocking() const noexcept {
+  return !options_.winner ||
+         dynamic_cast<const winner::SystemManager*>(options_.winner.get());
 }
 
 void NamingContextServant::require_nonempty(const Name& name) {

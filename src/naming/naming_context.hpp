@@ -71,6 +71,8 @@ class NamingContextServant final
   }
   corba::Value dispatch(std::string_view op,
                         const corba::ValueSeq& args) override;
+  /// Only while options.winner is null or an in-process SystemManager.
+  bool non_blocking() const noexcept override;
 
   // --- NamingContext -------------------------------------------------------
   void bind(const Name& name, const corba::ObjectRef& obj) override;

@@ -15,6 +15,8 @@ namespace {
 struct PoolMetrics {
   obs::Counter& dispatched = obs::MetricsRegistry::global().counter(
       "orb.dispatch_pool.dispatched_total");
+  obs::Counter& inlined = obs::MetricsRegistry::global().counter(
+      "orb.dispatch_pool.inline_total");
   obs::Gauge& inflight =
       obs::MetricsRegistry::global().gauge("orb.dispatch_pool.inflight");
   obs::Histogram& queue_depth = obs::MetricsRegistry::global().histogram(
@@ -55,8 +57,7 @@ DispatchPool::DispatchPool(Options options, Dispatch dispatch)
 
 DispatchPool::~DispatchPool() { stop(); }
 
-bool DispatchPool::try_submit(RequestMessage& request, Completion& done) {
-  std::lock_guard lock(mu_);
+bool DispatchPool::admit_locked(const RequestMessage& request) {
   if (stopping_)
     throw BAD_INV_ORDER("dispatch pool is stopped", minor_code::unspecified,
                         CompletionStatus::completed_no);
@@ -68,6 +69,10 @@ bool DispatchPool::try_submit(RequestMessage& request, Completion& done) {
   pool_metrics().queue_depth.record(static_cast<double>(in_pool_));
   obs::flight_event(obs::FlightEvent::dispatch_depth, request.operation,
                     in_pool_);
+  return true;
+}
+
+void DispatchPool::enqueue_locked(RequestMessage& request, Completion& done) {
   Job job{std::move(request), std::move(done), pool_monotonic_seconds()};
   if (obs::tracing_enabled()) {
     // Queue wait is attributable only for traced requests that carried a
@@ -79,12 +84,37 @@ bool DispatchPool::try_submit(RequestMessage& request, Completion& done) {
   }
   auto [it, inserted] = keys_.try_emplace(job.request.object_key);
   it->second.waiting.push_back(std::move(job));
-  // A key becomes runnable when its first job arrives; while a worker is
-  // executing the key stays out of ready_ (the worker re-queues it).
+  // A key becomes runnable when its first job arrives; while a job is
+  // executing the key stays out of ready_ (finish_locked re-queues it).
   if (inserted) {
     ready_.push_back(it->first);
     work_cv_.notify_one();
   }
+}
+
+bool DispatchPool::try_submit(RequestMessage& request, Completion& done) {
+  std::lock_guard lock(mu_);
+  if (!admit_locked(request)) return false;
+  enqueue_locked(request, done);
+  return true;
+}
+
+bool DispatchPool::try_run_inline(RequestMessage& request, Completion& done) {
+  std::unique_lock lock(mu_);
+  if (!admit_locked(request)) return false;
+  // An idle key is claimed (present, nothing waiting = executing), so a
+  // request for it arriving meanwhile queues behind this run.
+  if (!keys_.try_emplace(request.object_key).second) {
+    enqueue_locked(request, done);  // busy key: queue, as try_submit does
+    return true;
+  }
+  pool_metrics().inflight.add(1);
+  pool_metrics().queue_wait.record(0.0);
+  pool_metrics().inlined.inc();
+  lock.unlock();
+  run(request, done);
+  lock.lock();
+  finish_locked(request.object_key);
   return true;
 }
 
@@ -145,38 +175,46 @@ void DispatchPool::worker_loop() {
                        job.trace_enqueued_at, obs::now(), job.trace);
     }
     lock.unlock();
-    ReplyMessage reply = dispatch_(job.request);
-    if (job.request.response_expected && job.done) {
-      try {
-        job.done(std::move(reply));
-      } catch (...) {
-        // Completion failures (connection torn down mid-dispatch) are the
-        // client's COMM_FAILURE to observe, not the pool's problem.
-      }
-    }
+    run(job.request, job.done);
     lock.lock();
-    pool_metrics().inflight.add(-1);
-    pool_metrics().dispatched.inc();
-    ++dispatched_;
-    --in_pool_;
-
-    it = keys_.find(key);
-    if (it->second.waiting.empty()) {
-      keys_.erase(it);
-    } else {
-      // FIFO per key: the next job for this key becomes runnable only now
-      // that its predecessor finished.
-      ready_.push_back(key);
-      work_cv_.notify_one();
-    }
-    if (space_wanted_ && in_pool_ < options_.queue_limit) {
-      // Cheap by contract (an eventfd write), so holding mu_ here is fine
-      // and keeps the arm/ring sequence race-free.
-      space_wanted_ = false;
-      if (space_callback_) space_callback_();
-    }
-    if (stopping_ && in_pool_ == 0) work_cv_.notify_all();
+    finish_locked(key);
   }
+}
+
+void DispatchPool::run(const RequestMessage& request, Completion& done) {
+  ReplyMessage reply = dispatch_(request);
+  if (request.response_expected && done) {
+    try {
+      done(std::move(reply));
+    } catch (...) {
+      // Completion failures (connection torn down mid-dispatch) are the
+      // client's COMM_FAILURE to observe, not the pool's problem.
+    }
+  }
+}
+
+void DispatchPool::finish_locked(const ObjectKey& key) {
+  pool_metrics().inflight.add(-1);
+  pool_metrics().dispatched.inc();
+  ++dispatched_;
+  --in_pool_;
+
+  auto it = keys_.find(key);
+  if (it->second.waiting.empty()) {
+    keys_.erase(it);
+  } else {
+    // FIFO per key: the next job for this key becomes runnable only now
+    // that its predecessor finished.
+    ready_.push_back(key);
+    work_cv_.notify_one();
+  }
+  if (space_wanted_ && in_pool_ < options_.queue_limit) {
+    // Cheap by contract (an eventfd write), so holding mu_ here is fine
+    // and keeps the arm/ring sequence race-free.
+    space_wanted_ = false;
+    if (space_callback_) space_callback_();
+  }
+  if (stopping_ && in_pool_ == 0) work_cv_.notify_all();
 }
 
 }  // namespace corba

@@ -13,6 +13,10 @@
 // unconstrained, which is why replies carry request ids (the client transport
 // demuxes them; see tcp_transport.hpp).
 //
+// try_run_inline() executes a request for an idle key on the caller's
+// thread (the reactor's path for Servant::non_blocking() servants); a busy
+// key still queues, so per-key FIFO holds whichever entry point was taken.
+//
 // The queue is bounded: try_submit() bounces when `queue_limit` requests are
 // in the pool (queued + executing).  The reactor then stops reading the
 // submitting connection — TCP flow control pushes back to the sender, and an
@@ -43,12 +47,13 @@ class DispatchPool {
     std::size_t queue_limit = 1024;
   };
 
-  /// Executes one request; must be callable from any worker thread and must
-  /// not throw (ObjectAdapter::dispatch is noexcept).
+  /// Executes one request; must be callable from any thread and must not
+  /// throw (ObjectAdapter::dispatch is noexcept).
   using Dispatch = std::function<ReplyMessage(const RequestMessage&)>;
 
-  /// Invoked with the reply on a worker thread; exceptions are swallowed
-  /// (a completion writing to a dead connection is normal during teardown).
+  /// Invoked with the reply on the executing thread; exceptions are
+  /// swallowed (a completion writing to a dead connection is normal during
+  /// teardown).
   using Completion = std::function<void(ReplyMessage)>;
 
   DispatchPool(Options options, Dispatch dispatch);
@@ -63,6 +68,12 @@ class DispatchPool {
   /// the space callback so the caller is poked once capacity frees up.
   /// Throws BAD_INV_ORDER after stop().
   bool try_submit(RequestMessage& request, Completion& done);
+
+  /// try_submit, except that a request whose object key is idle (nothing
+  /// executing or queued for it) executes on the calling thread before this
+  /// returns, holding the key so later requests for it queue behind.  It
+  /// counts as dispatched, with a queue wait of zero.
+  bool try_run_inline(RequestMessage& request, Completion& done);
 
   /// Installs the capacity notification used by try_submit: invoked (at
   /// most once per failed-try_submit episode) when the pool drops back
@@ -79,7 +90,7 @@ class DispatchPool {
   // --- telemetry -----------------------------------------------------------
   /// Requests currently in the pool (queued + executing).
   std::size_t depth() const;
-  /// Requests executed so far.
+  /// Requests executed so far (pooled and inline).
   std::uint64_t dispatched() const;
 
  private:
@@ -96,11 +107,16 @@ class DispatchPool {
     double trace_enqueued_at = 0.0;
   };
   /// Per-object-key FIFO.  Present in keys_ iff it has waiting jobs or a
-  /// worker is executing its head job.
+  /// job for it is executing (on a worker or inline).
   struct KeyQueue {
     std::deque<Job> waiting;
   };
 
+  /// The shared halves of try_submit/try_run_inline and worker_loop.
+  bool admit_locked(const RequestMessage& request);
+  void enqueue_locked(RequestMessage& request, Completion& done);
+  void run(const RequestMessage& request, Completion& done);
+  void finish_locked(const ObjectKey& key);
   void worker_loop();
 
   Options options_;

@@ -45,6 +45,12 @@ class Servant {
   /// subclasses for IDL-declared errors.
   virtual Value dispatch(std::string_view op, const ValueSeq& args) = 0;
 
+  /// True when every operation finishes in bounded CPU time, never waiting
+  /// on a remote call, the disk or a lock held across I/O: the TCP reactor
+  /// may then run it on its I/O thread (DispatchPool::try_run_inline).  A
+  /// servant claims it only for concrete backends it knows.
+  virtual bool non_blocking() const noexcept { return false; }
+
   /// Throws BAD_PARAM unless exactly `n` arguments were supplied.  Public so
   /// that the adapter and generic dispatch helpers can reuse it.
   static void check_arity(std::string_view op, const ValueSeq& args,
@@ -89,7 +95,7 @@ class ObjectAdapter {
   /// Drains and joins the pool.  Idempotent, safe without a pool.
   void stop_dispatch_pool();
 
-  /// The pool, or nullptr when dispatch is inline.
+  /// The pool, or nullptr before enable_dispatch_pool (an ORB without TCP).
   DispatchPool* dispatch_pool() const noexcept { return pool_.get(); }
 
  private:

@@ -120,7 +120,7 @@ void ORB::start() {
     profile.port = 0;
   }
   adapter_ = std::make_shared<ObjectAdapter>(std::move(profile));
-  if (config_.enable_tcp && config_.dispatch_threads > 0)
+  if (config_.enable_tcp)
     adapter_->enable_dispatch_pool(
         {config_.dispatch_threads, config_.dispatch_queue_limit});
   if (tcp_server_) tcp_server_->start(adapter_);

@@ -103,9 +103,9 @@ struct OrbConfig {
   /// soft socket cap and sessions (see TcpClientOptions).
   TcpClientOptions tcp_client{};
 
-  /// Worker threads executing TCP requests (FIFO per object key).
-  /// 0 dispatches inline on the reactor's I/O thread: no thread handoff per
-  /// request, but a slow servant stalls every connection on that loop.
+  /// Worker threads executing TCP requests (FIFO per object key; >= 1,
+  /// BAD_PARAM otherwise).  Servants flagged Servant::non_blocking() run on
+  /// the reactor's I/O thread instead whenever their key is idle.
   std::size_t dispatch_threads = 4;
   /// Requests queued + executing before the reactor stops reading the
   /// submitting connections (backpressure).

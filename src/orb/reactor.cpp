@@ -336,18 +336,16 @@ bool note_session_request(const std::shared_ptr<ServerSession>& session,
   return true;
 }
 
-/// Hands a request to the adapter's dispatch pool, or — dispatch_threads = 0,
-/// no pool — dispatches it inline on the I/O thread: no thread handoff, but
-/// a slow servant stalls every connection on the loop.  Returns false, with
-/// `request`/`done` untouched, while the pool is at capacity; throws
-/// BAD_INV_ORDER once the pool is stopped.
+/// Hands a request to the adapter's dispatch pool — run right here on the
+/// I/O thread when the target servant is non_blocking() and its key idle.
+/// Returns false, with `request`/`done` untouched, while the pool is at
+/// capacity; throws BAD_INV_ORDER once the pool is stopped.
 bool try_dispatch(ObjectAdapter& adapter, RequestMessage& request,
                   DispatchPool::Completion& done) {
-  if (DispatchPool* pool = adapter.dispatch_pool())
-    return pool->try_submit(request, done);
-  ReplyMessage reply = adapter.dispatch(request);
-  if (request.response_expected && done) done(std::move(reply));
-  return true;
+  const std::shared_ptr<Servant> servant = adapter.find(request.object_key);
+  if (servant && servant->non_blocking())
+    return adapter.dispatch_pool()->try_run_inline(request, done);
+  return adapter.dispatch_pool()->try_submit(request, done);
 }
 
 }  // namespace

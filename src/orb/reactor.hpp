@@ -7,7 +7,8 @@
 // loop runs epoll_wait over its share of the connections (round-robin
 // assignment at accept), frames are assembled incrementally into
 // per-connection read buffers, and every complete request is handed to the
-// object adapter's bounded DispatchPool.  Reply writes are non-blocking too:
+// object adapter's bounded DispatchPool (run inline on the I/O thread for
+// Servant::non_blocking() servants).  Reply writes are non-blocking too:
 // a write that would block parks its tail in the connection's pending-write
 // queue, drained in FIFO order on EPOLLOUT — per-connection write ordering
 // (which the session layer's reply-seq contract relies on) is preserved

@@ -1034,9 +1034,8 @@ void TcpServerEndpoint::start(std::shared_ptr<ObjectAdapter> adapter) {
       ReactorOptions{options_.io_threads, options_.idle_timeout_s});
   // Back-pressure seam: a full pool makes the reactor stop reading the
   // stalled connections; this callback wakes it once capacity frees up.
-  if (DispatchPool* pool = adapter_->dispatch_pool())
-    pool->set_space_callback(
-        [reactor = reactor_.get()] { reactor->notify_pool_space(); });
+  adapter_->dispatch_pool()->set_space_callback(
+      [reactor = reactor_.get()] { reactor->notify_pool_space(); });
   reactor_->start();
 }
 
@@ -1044,9 +1043,7 @@ void TcpServerEndpoint::stop() {
   if (stopping_.exchange(true)) return;
   if (reactor_) {
     reactor_->stop();
-    if (adapter_)
-      if (DispatchPool* pool = adapter_->dispatch_pool())
-        pool->set_space_callback(nullptr);
+    adapter_->dispatch_pool()->set_space_callback(nullptr);
   }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);

@@ -22,10 +22,11 @@
 // non-blocking connections, so thread count no longer caps how many clients
 // an endpoint holds.  Frames are assembled incrementally and handed to the
 // object adapter's bounded dispatch thread pool (dispatch_pool.hpp); the
-// receive side only reads and decodes, servant execution happens on the
-// pool, whose completions write replies back — possibly out of order —
-// serialized per connection.  Requests for one object stay FIFO; requests
-// for different objects and connections do not block each other.
+// receive side only reads and decodes, servants execute on the pool (or
+// inline, see reactor.hpp), whose completions write replies back —
+// possibly out of order — serialized per connection.  Requests for one
+// object stay FIFO; requests for different objects and connections do not
+// block each other.
 #pragma once
 
 #include <atomic>

@@ -1,5 +1,7 @@
 #include "winner/system_manager_corba.hpp"
 
+#include "winner/system_manager.hpp"
+
 namespace winner {
 
 namespace {
@@ -33,6 +35,10 @@ SystemManagerServant::SystemManagerServant(
     std::shared_ptr<LoadInformationService> impl)
     : impl_(std::move(impl)) {
   if (!impl_) throw corba::BAD_PARAM("null SystemManager implementation");
+}
+
+bool SystemManagerServant::non_blocking() const noexcept {
+  return dynamic_cast<const SystemManager*>(impl_.get()) != nullptr;
 }
 
 corba::Value SystemManagerServant::dispatch(std::string_view op,

@@ -22,6 +22,8 @@ class SystemManagerServant final : public corba::Servant {
   }
   corba::Value dispatch(std::string_view op,
                         const corba::ValueSeq& args) override;
+  /// Only over an in-process SystemManager (stubs and meta managers call out).
+  bool non_blocking() const noexcept override;
 
  private:
   std::shared_ptr<LoadInformationService> impl_;

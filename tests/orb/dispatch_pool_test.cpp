@@ -1,6 +1,6 @@
 // DispatchPool unit tests: FIFO-per-key ordering, cross-key parallelism,
-// bounded-queue backpressure (try_submit + space callback) and drain-on-stop
-// semantics.
+// bounded-queue backpressure (try_submit + space callback), drain-on-stop
+// semantics, and try_run_inline (caller-thread execution of idle keys).
 #include "orb/dispatch_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -9,9 +9,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "orb/exceptions.hpp"
 
 namespace corba {
@@ -215,8 +217,14 @@ TEST(DispatchPoolTest, CompletionExceptionIsSwallowed) {
   });
   submit(pool, request_for("k", 1),
               [](ReplyMessage) { throw std::runtime_error("dead connection"); });
+  // The inline path must not unwind its caller (an I/O loop) either.
+  RequestMessage inline_request = request_for("j", 2);
+  DispatchPool::Completion throwing = [](ReplyMessage) {
+    throw std::runtime_error("dead connection");
+  };
+  EXPECT_NO_THROW(EXPECT_TRUE(pool.try_run_inline(inline_request, throwing)));
   pool.stop();  // must not terminate / rethrow
-  EXPECT_EQ(pool.dispatched(), 1u);
+  EXPECT_EQ(pool.dispatched(), 2u);
 }
 
 TEST(DispatchPoolTest, OnewayGetsNoCompletion) {
@@ -229,6 +237,196 @@ TEST(DispatchPoolTest, OnewayGetsNoCompletion) {
   pool.stop();
   EXPECT_FALSE(completed.load());
   EXPECT_EQ(pool.dispatched(), 1u);
+}
+
+std::uint64_t counter_value(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
+/// Blocks dispatches of key "held" until release(); records who ran what.
+class HeldKeyPool {
+ public:
+  HeldKeyPool()
+      : pool_({.threads = 2}, [this](const RequestMessage& req) {
+          const int now = concurrent_.fetch_add(1) + 1;
+          if (now > 1) overlapped_ = true;
+          if (req.operation == "hold") {
+            std::unique_lock lock(mu_);
+            held_ = true;
+            cv_.notify_all();
+            cv_.wait_for(lock, 5s, [&] { return released_; });
+          }
+          {
+            std::lock_guard lock(mu_);
+            order_.push_back(req.request_id);
+            threads_.push_back(std::this_thread::get_id());
+          }
+          concurrent_.fetch_sub(1);
+          return ReplyMessage::make_result(req.request_id, Value());
+        }) {}
+
+  DispatchPool& pool() { return pool_; }
+  bool wait_held() {
+    std::unique_lock lock(mu_);
+    return cv_.wait_for(lock, 5s, [&] { return held_; });
+  }
+  void release() {
+    std::lock_guard lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+  std::vector<std::uint64_t> order() {
+    std::lock_guard lock(mu_);
+    return order_;
+  }
+  std::vector<std::thread::id> threads() {
+    std::lock_guard lock(mu_);
+    return threads_;
+  }
+  bool overlapped() const { return overlapped_.load(); }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool released_ = false;
+  std::vector<std::uint64_t> order_;
+  std::vector<std::thread::id> threads_;
+  std::atomic<int> concurrent_{0};
+  std::atomic<bool> overlapped_{false};
+  DispatchPool pool_;  // last: its workers call into the members above
+};
+
+TEST(DispatchPoolInlineTest, IdleKeyRunsOnTheCallersThread) {
+  const std::uint64_t inline_before =
+      counter_value("orb.dispatch_pool.inline_total");
+  const std::uint64_t dispatched_before =
+      counter_value("orb.dispatch_pool.dispatched_total");
+  obs::Histogram& queue_wait =
+      obs::MetricsRegistry::global().histogram("orb.dispatch_pool.queue_wait_s");
+  const std::uint64_t waits_before = queue_wait.count();
+  const double wait_sum_before = queue_wait.sum();
+  std::thread::id ran_on;
+  std::size_t depth_during = 0;
+  DispatchPool* self = nullptr;
+  DispatchPool pool({.threads = 1}, [&](const RequestMessage& req) {
+    ran_on = std::this_thread::get_id();
+    depth_during = self->depth();
+    return ReplyMessage::make_result(req.request_id, Value(std::int32_t(5)));
+  });
+  self = &pool;
+  RequestMessage request = request_for("idle", 9);
+  std::optional<ReplyMessage> got;
+  std::thread::id completed_on;
+  DispatchPool::Completion done = [&](ReplyMessage reply) {
+    completed_on = std::this_thread::get_id();
+    got = std::move(reply);
+  };
+  ASSERT_TRUE(pool.try_run_inline(request, done));
+  // Done before the call returned, on this thread, and held in depth()
+  // while it ran.
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->result_or_throw().as_i32(), 5);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(completed_on, std::this_thread::get_id());
+  EXPECT_EQ(depth_during, 1u);
+  EXPECT_EQ(pool.depth(), 0u);
+  EXPECT_EQ(pool.dispatched(), 1u);
+  EXPECT_EQ(counter_value("orb.dispatch_pool.inline_total"), inline_before + 1);
+  EXPECT_EQ(counter_value("orb.dispatch_pool.dispatched_total"),
+            dispatched_before + 1);
+  // One queue-wait sample per dispatch, and an inline run waited 0 s.
+  EXPECT_EQ(queue_wait.count(), waits_before + 1);
+  EXPECT_EQ(queue_wait.sum(), wait_sum_before);
+  pool.stop();
+}
+
+TEST(DispatchPoolInlineTest, BusyKeyQueuesTheInlineAttemptInOrder) {
+  HeldKeyPool held;
+  RequestMessage first = request_for("k", 1);
+  first.operation = "hold";
+  submit(held.pool(), std::move(first), {});
+  ASSERT_TRUE(held.wait_held());  // a worker is executing key k
+
+  RequestMessage second = request_for("k", 2);
+  DispatchPool::Completion none;
+  ASSERT_TRUE(held.pool().try_run_inline(second, none));
+  // Queued, not run: the caller got control back while k is still held.
+  EXPECT_TRUE(held.order().empty());
+  EXPECT_EQ(held.pool().depth(), 2u);
+
+  held.release();
+  held.pool().stop();
+  EXPECT_EQ(held.order(), (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_FALSE(held.overlapped());
+  for (const std::thread::id id : held.threads())
+    EXPECT_NE(id, std::this_thread::get_id());
+}
+
+TEST(DispatchPoolInlineTest, InlineRunHoldsItsKeyAgainstPooledRequests) {
+  HeldKeyPool held;
+  std::thread io([&] {
+    RequestMessage first = request_for("k", 1);
+    first.operation = "hold";
+    DispatchPool::Completion none;
+    EXPECT_TRUE(held.pool().try_run_inline(first, none));
+  });
+  ASSERT_TRUE(held.wait_held());  // the inline run owns key k
+  submit(held.pool(), request_for("k", 2), {});
+  std::this_thread::sleep_for(20ms);  // a free worker must not take k
+  EXPECT_TRUE(held.order().empty());
+  held.release();
+  io.join();
+  held.pool().stop();
+  EXPECT_EQ(held.order(), (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_FALSE(held.overlapped());
+}
+
+TEST(DispatchPoolInlineTest, AtQueueLimitBouncesAndArmsTheSpaceCallback) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  DispatchPool pool({.threads = 1, .queue_limit = 1},
+                    [&](const RequestMessage& req) {
+                      std::unique_lock lock(mu);
+                      cv.wait_for(lock, 5s, [&] { return release; });
+                      return ReplyMessage::make_result(req.request_id, Value());
+                    });
+  std::atomic<int> rings{0};
+  pool.set_space_callback([&] { rings.fetch_add(1); });
+  submit(pool, request_for("busy", 1), {});  // fills the pool
+
+  // An idle key does not bypass the limit: bounced, request intact.
+  RequestMessage request = request_for("idle", 2);
+  DispatchPool::Completion done = [](ReplyMessage) {};
+  EXPECT_FALSE(pool.try_run_inline(request, done));
+  EXPECT_EQ(request.request_id, 2u);
+  EXPECT_EQ(request.object_key, key_of("idle"));
+  EXPECT_TRUE(done);
+  EXPECT_EQ(rings.load(), 0);
+
+  {
+    std::lock_guard lock(mu);
+    release = true;
+    cv.notify_all();
+  }
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (rings.load() == 0 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(1ms);
+  EXPECT_EQ(rings.load(), 1);
+  EXPECT_TRUE(pool.try_run_inline(request, done));
+  pool.stop();
+  EXPECT_EQ(pool.dispatched(), 2u);
+}
+
+TEST(DispatchPoolInlineTest, RunInlineAfterStopThrows) {
+  DispatchPool pool({.threads = 1}, [](const RequestMessage& req) {
+    return ReplyMessage::make_result(req.request_id, Value());
+  });
+  pool.stop();
+  RequestMessage request = request_for("k", 1);
+  DispatchPool::Completion done;
+  EXPECT_THROW(pool.try_run_inline(request, done), BAD_INV_ORDER);
 }
 
 }  // namespace

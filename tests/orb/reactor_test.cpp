@@ -3,7 +3,8 @@
 // length, partial reply writes drained on EPOLLOUT against a slow reader,
 // dispatch-queue back-pressure (stalled connections resume instead of
 // dropping requests), idle-connection harvesting, sessions over the reactor,
-// and endpoint restart on the same port.
+// inline dispatch of non_blocking() servants on the I/O thread, and
+// endpoint restart on the same port.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -12,6 +13,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <latch>
+#include <mutex>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -79,6 +83,47 @@ class SlowServant : public corbaft_test::CalcSkeleton {
   std::chrono::milliseconds delay_;
   std::atomic<std::int64_t> calls_{0};
 };
+
+/// SlowServant that records the thread of every add() and reports the
+/// non_blocking() flag it was built with.
+class ProbeServant : public SlowServant {
+ public:
+  explicit ProbeServant(bool non_blocking,
+                        std::chrono::milliseconds delay = 0ms)
+      : SlowServant(delay), non_blocking_(non_blocking) {}
+  std::int32_t add(std::int32_t a, std::int32_t b) override {
+    {
+      std::lock_guard lock(mu_);
+      threads_.insert(std::this_thread::get_id());
+    }
+    return SlowServant::add(a, b);
+  }
+  bool non_blocking() const noexcept override { return non_blocking_; }
+  std::set<std::thread::id> threads() const {
+    std::lock_guard lock(mu_);
+    return threads_;
+  }
+
+ private:
+  const bool non_blocking_;
+  mutable std::mutex mu_;
+  std::set<std::thread::id> threads_;
+};
+
+/// Opens (session_id 0) or resumes a session on `socket`.
+SessionAccept session_handshake(Socket& socket, std::uint64_t session_id) {
+  CdrOutputStream hello_body;
+  SessionHello{.session_id = session_id, .highest_reply_seq = 0}.encode_body(
+      hello_body);
+  socket.send_bytes(encode_frame(MessageType::session_hello, hello_body));
+  MessageHeader header;
+  std::vector<std::byte> body;
+  if (!socket.recv_frame(header, body, 5.0) ||
+      header.type != MessageType::session_accept)
+    throw COMM_FAILURE("no session_accept");
+  CdrInputStream in(body, header.byte_order);
+  return SessionAccept::decode_body(in);
+}
 
 class ReactorTest : public ::testing::Test {
  protected:
@@ -415,6 +460,145 @@ TEST(ReactorSessionTest, SessionsResumeOntoReactorCarrier) {
         transport.invoke(ior, make_add_request(ior, i, static_cast<int>(i), 1));
     EXPECT_EQ(reply.result_or_throw().as_i32(), static_cast<int>(i) + 1);
   }
+}
+
+TEST(ReactorInlineDispatchTest, OnlyNonBlockingServantsRunOnTheIoThread) {
+  auto server = ORB::init({.endpoint_name = "reactor-inline",
+                           .enable_tcp = true,
+                           .dispatch_threads = 2,
+                           .io_threads = 1});
+  DispatchPool& pool = *server->adapter().dispatch_pool();
+
+  // The pool's workers report their ids: two requests for two keys, each
+  // held until both run, occupy both workers at once.
+  std::latch both_running(2);
+  std::mutex mu;
+  std::set<std::thread::id> workers;
+  class Rendezvous : public CalcServant {
+   public:
+    Rendezvous(std::latch& latch, std::mutex& mu,
+               std::set<std::thread::id>& ids)
+        : latch_(latch), mu_(mu), ids_(ids) {}
+    std::int32_t add(std::int32_t a, std::int32_t b) override {
+      {
+        std::lock_guard lock(mu_);
+        ids_.insert(std::this_thread::get_id());
+      }
+      latch_.arrive_and_wait();
+      return a + b;
+    }
+
+   private:
+    std::latch& latch_;
+    std::mutex& mu_;
+    std::set<std::thread::id>& ids_;
+  };
+  std::latch both_done(2);
+  for (std::uint64_t i = 1; i <= 2; ++i) {
+    const ObjectRef rendezvous = server->activate(
+        std::make_shared<Rendezvous>(both_running, mu, workers));
+    RequestMessage request = make_add_request(rendezvous.ior(), i, 1, 1);
+    DispatchPool::Completion done = [&](ReplyMessage) {
+      both_done.count_down();
+    };
+    ASSERT_TRUE(pool.try_submit(request, done));
+  }
+  both_done.wait();
+  ASSERT_EQ(workers.size(), 2u);
+
+  auto inline_probe = std::make_shared<ProbeServant>(true);
+  auto pooled_probe = std::make_shared<ProbeServant>(false);
+  const IOR inline_ior = server->activate(inline_probe).ior();
+  const IOR pooled_ior = server->activate(pooled_probe).ior();
+  const std::uint64_t inline_before =
+      counter_value("orb.dispatch_pool.inline_total");
+  TcpClientTransport transport;
+  constexpr int kCalls = 16;
+  for (int i = 1; i <= kCalls; ++i) {
+    const auto id = static_cast<std::uint64_t>(i);
+    EXPECT_EQ(transport.invoke(inline_ior, make_add_request(inline_ior, id, i, 1))
+                  .result_or_throw()
+                  .as_i32(),
+              i + 1);
+    EXPECT_EQ(transport.invoke(pooled_ior, make_add_request(pooled_ior, id, i, 2))
+                  .result_or_throw()
+                  .as_i32(),
+              i + 2);
+  }
+  EXPECT_EQ(inline_probe->calls(), kCalls);
+  EXPECT_EQ(pooled_probe->calls(), kCalls);
+  EXPECT_EQ(counter_value("orb.dispatch_pool.inline_total"),
+            inline_before + kCalls);
+
+  // The flagged servant ran on the one reactor thread: neither a worker
+  // nor this client thread.  The unflagged one never left the workers.
+  const std::set<std::thread::id> inline_threads = inline_probe->threads();
+  ASSERT_EQ(inline_threads.size(), 1u);
+  const std::thread::id io_thread = *inline_threads.begin();
+  EXPECT_FALSE(workers.contains(io_thread));
+  EXPECT_NE(io_thread, std::this_thread::get_id());
+  for (const std::thread::id id : pooled_probe->threads())
+    EXPECT_TRUE(workers.contains(id));
+}
+
+TEST(ReactorInlineDispatchTest, CutUnderAnInlineServantExecutesOnce) {
+  // The connection dies while a non_blocking servant runs on the I/O
+  // thread: the reply still lands in the session's replay buffer, the
+  // resume replays it, and the client's retransmit of the same seq is
+  // suppressed — the servant executes exactly once.
+  auto server = ORB::init({.endpoint_name = "reactor-inline-cut",
+                           .enable_tcp = true,
+                           .io_threads = 1});
+  auto probe = std::make_shared<ProbeServant>(true, 100ms);
+  const IOR target = server->activate(probe).ior();
+  RequestMessage first = make_add_request(target, 1, 10, 1);
+  attach_session_context(first, {.seq = 1, .ack = 0});
+
+  std::uint64_t session_id = 0;
+  {
+    Socket socket = Socket::connect("127.0.0.1", server->tcp_port());
+    const SessionAccept accept = session_handshake(socket, 0);
+    ASSERT_TRUE(accept.ok);
+    session_id = accept.session_id;
+    socket.send_bytes(encode_request(first));
+    std::this_thread::sleep_for(30ms);  // the servant is mid-call
+    const linger lg{.l_onoff = 1, .l_linger = 0};
+    ::setsockopt(socket.fd(), SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
+  }  // RST
+
+  const std::uint64_t suppressed_before =
+      counter_value("transport.session.duplicates_suppressed_total");
+  Socket socket = Socket::connect("127.0.0.1", server->tcp_port());
+  const SessionAccept accept = session_handshake(socket, session_id);
+  ASSERT_TRUE(accept.ok);
+  EXPECT_EQ(accept.highest_request_seq, 1u);
+  const ReplyMessage replayed = recv_reply(socket);
+  EXPECT_EQ(replayed.request_id, 1u);
+  EXPECT_EQ(replayed.result_or_throw().as_i32(), 11);
+
+  // The client retransmits seq 1 anyway, then moves on to seq 2: the
+  // duplicate is dropped, so the next reply is seq 2's.
+  attach_session_context(first, {.seq = 1, .ack = 1});
+  RequestMessage second = make_add_request(target, 2, 20, 2);
+  attach_session_context(second, {.seq = 2, .ack = 1});
+  std::vector<std::byte> burst = encode_request(first);
+  const std::vector<std::byte> f2 = encode_request(second);
+  burst.insert(burst.end(), f2.begin(), f2.end());
+  socket.send_bytes(burst);
+  const ReplyMessage r2 = recv_reply(socket);
+  EXPECT_EQ(r2.request_id, 2u);
+  EXPECT_EQ(r2.result_or_throw().as_i32(), 22);
+  EXPECT_EQ(probe->calls(), 2);
+  EXPECT_EQ(counter_value("transport.session.duplicates_suppressed_total"),
+            suppressed_before + 1);
+}
+
+TEST(ReactorInlineDispatchTest, ATcpOrbAlwaysHasADispatchPool) {
+  // No whole-ORB inline mode: zero workers is a configuration error.
+  EXPECT_THROW(ORB::init({.endpoint_name = "reactor-no-pool",
+                          .enable_tcp = true,
+                          .dispatch_threads = 0}),
+               BAD_PARAM);
 }
 
 TEST(ReactorLifecycleTest, PortReleasedAndRestartableInReactorMode) {
