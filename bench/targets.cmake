@@ -31,8 +31,19 @@ corbaft_add_bench(micro_sim GBENCH LIBS corbaft::sim)
 corbaft_add_bench(micro_ckptstore LIBS corbaft::ft)
 corbaft_add_bench(micro_events LIBS corbaft::opt)
 corbaft_add_bench(micro_trace LIBS corbaft::opt)
-corbaft_add_bench(ablation_replication LIBS corbaft::opt)
 corbaft_add_bench(ablation_wan_metacomputing LIBS corbaft::opt)
+
+# Golden-output checks: the fast virtual-time ablations print byte-stable
+# tables, so each run is compared with its committed stdout (bench/golden/).
+# `ctest -L golden` runs them; Table 1 and Fig. 3 are too slow to join.
+foreach(_golden ablation_checkpoint_frequency ablation_migration
+                ablation_wan_metacomputing)
+  add_test(NAME golden_${_golden}
+           COMMAND ${CMAKE_COMMAND} -DBIN=$<TARGET_FILE:${_golden}>
+                   -DGOLDEN=${CMAKE_CURRENT_LIST_DIR}/golden/${_golden}.txt
+                   -P ${CMAKE_CURRENT_LIST_DIR}/check_golden.cmake)
+  set_tests_properties(golden_${_golden} PROPERTIES LABELS golden)
+endforeach()
 
 # Smoke run of the JSON-emitting benches: reduced workloads, then a schema
 # check of the emitted BENCH_*.json (tools/run_benches.sh).  Available both

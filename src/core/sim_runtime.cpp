@@ -314,10 +314,6 @@ naming::NamingContextStub SimRuntime::naming() const {
   return naming::NamingContextStub(client_orb_->make_ref(naming_ref_.ior()));
 }
 
-winner::SystemManagerStub SimRuntime::winner_stub() const {
-  return winner::SystemManagerStub(client_orb_->make_ref(winner_ref_.ior()));
-}
-
 std::shared_ptr<ft::CheckpointStoreClient> SimRuntime::checkpoint_store() const {
   if (shard_refs_.empty()) {
     return std::make_shared<ft::CheckpointStoreStub>(

@@ -170,7 +170,6 @@ class SimRuntime {
 
   // --- central services, as the client sees them ---------------------------
   naming::NamingContextStub naming() const;
-  winner::SystemManagerStub winner_stub() const;
   std::shared_ptr<ft::CheckpointStoreClient> checkpoint_store() const;
 
   /// Direct access to the system manager implementation (tests, benches).

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "ft_test_common.hpp"
 #include "orb/log.hpp"
 
@@ -183,6 +186,22 @@ TEST_F(ProxyTest, MigrationViaRecoverNow) {
   engine.recover_now();
   EXPECT_NE(engine.current().ior().host, before);
   EXPECT_EQ(engine.call("total", {}).as_i64(), 42);  // state migrated
+
+  // Load the host the service now runs on: once the report is in, the
+  // migration lands on a host Winner ranks least loaded.
+  const std::string loaded = engine.current_host();
+  cluster_.set_background_load(loaded, 3);
+  runtime_->events().run_until(runtime_->events().now() + 2.0);
+  std::map<std::string, double> index;
+  for (const std::string& host : runtime_->worker_hosts())
+    index[host] = runtime_->winner_impl()->host_index(host);
+  double least = index.at(loaded);
+  for (const auto& [host, load] : index) least = std::min(least, load);
+  ASSERT_LT(least, index.at(loaded));
+  engine.recover_now();
+  EXPECT_NE(engine.current_host(), loaded);
+  EXPECT_EQ(index.at(engine.current_host()), least);
+  EXPECT_EQ(engine.call("total", {}).as_i64(), 42);
 }
 
 TEST_F(ProxyTest, OnRebindHookFires) {
