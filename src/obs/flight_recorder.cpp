@@ -1,7 +1,6 @@
 #include "obs/flight_recorder.hpp"
 
 #include <cstdio>
-#include <cstring>
 
 #include "obs/event_channel.hpp"
 #include "obs/metrics.hpp"
@@ -237,36 +236,6 @@ std::string FlightRecorder::to_text() const {
   return out;
 }
 
-std::string FlightRecorder::to_json() const {
-  const std::vector<Event> all = events();
-  std::string out = "{\"schema_version\": 1, \"recorded\": " +
-                    std::to_string(recorded()) +
-                    ", \"capacity\": " + std::to_string(capacity_) +
-                    ", \"events\": [";
-  bool first = true;
-  for (const Event& e : all) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "  {\"t\": " + format_time(e.t) +
-           ", \"index\": " + std::to_string(e.index) + ", \"type\": \"" +
-           std::string(to_string(e.type)) + "\", \"subject\": \"" + e.subject +
-           "\", \"a\": " + std::to_string(e.a) +
-           ", \"b\": " + std::to_string(e.b);
-    if (!e.detail.empty()) out += ", \"detail\": \"" + e.detail + "\"";
-    // Size-compatible evolution: the key only appears on traced events, so
-    // consumers of the old shape never see it unless tracing was on.
-    if (e.trace_id != 0) out += ", \"trace\": " + std::to_string(e.trace_id);
-    out += "}";
-  }
-  out += "\n]}";
-  return out;
-}
-
-void FlightRecorder::set_auto_dump_sink(DumpSink sink) {
-  std::lock_guard lock(sink_mu_);
-  sink_ = std::move(sink);
-}
-
 void FlightRecorder::auto_dump(std::string_view reason) noexcept {
   auto_dumps_.fetch_add(1, std::memory_order_relaxed);
   static obs::Counter& dumps = obs::MetricsRegistry::global().counter(
@@ -277,17 +246,6 @@ void FlightRecorder::auto_dump(std::string_view reason) noexcept {
   } catch (...) {
     // Event publication failing must never break the (already failing) path
     // that triggered the dump.
-  }
-  DumpSink sink;
-  {
-    std::lock_guard lock(sink_mu_);
-    sink = sink_;
-  }
-  if (!sink) return;
-  try {
-    sink(reason, to_text());
-  } catch (...) {
-    // Likewise for a failing sink.
   }
 }
 

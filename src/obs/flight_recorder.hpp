@@ -24,16 +24,14 @@
 // Auto-dump: the runtime calls flight_auto_dump() at "something is going
 // wrong" moments — a batched COMM_FAILURE taking down a connection's
 // in-flight calls, a proxy exhausting its retry budget, a quarantine trip.
-// With no sink installed that is one counter increment; with a sink (tests,
-// an operator's stderr hook) the rendered dump is delivered.
+// With no `flight.event` subscriber that is one counter increment; with one
+// (orbtrace --postmortem) the retained ring is published to it.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -159,21 +157,9 @@ class FlightRecorder {
   ///   [<t>] #<index> <type> <subject> a=<a> b=<b>[ detail=<detail>]
   std::string to_text() const;
 
-  /// JSON rendering: {"schema_version": 1, "recorded": N, "capacity": C,
-  /// "events": [{"t": ..., "index": N, "type": "...", "subject": "...",
-  /// "a": N, "b": N[, "detail": "..."]}, ...]}.
-  std::string to_json() const;
-
   // --- auto-dump -------------------------------------------------------------
-  /// Sink for auto-dumps; invoked with the trigger reason and the to_text()
-  /// rendering.  Null uninstalls.  Must be thread-safe.
-  using DumpSink = std::function<void(std::string_view reason,
-                                      const std::string& dump)>;
-  void set_auto_dump_sink(DumpSink sink);
-
-  /// Counts the trigger (obs.flight_recorder.auto_dumps_total), publishes
-  /// the ring on the `flight.event` topic (dump_to_events) and, when a sink
-  /// is installed, renders and delivers the text dump.
+  /// Counts the trigger (obs.flight_recorder.auto_dumps_total) and publishes
+  /// the ring on the `flight.event` topic (dump_to_events).
   void auto_dump(std::string_view reason) noexcept;
 
   /// Publishes every retained ring event on the `flight.event` channel
@@ -184,7 +170,7 @@ class FlightRecorder {
   /// publication overflows a queue would otherwise dump again forever).
   void dump_to_events(std::string_view reason);
 
-  /// Auto-dump triggers observed so far (with or without a sink).
+  /// Auto-dump triggers observed so far (with or without subscribers).
   std::uint64_t auto_dumps() const noexcept {
     return auto_dumps_.load(std::memory_order_relaxed);
   }
@@ -218,9 +204,6 @@ class FlightRecorder {
   std::atomic<std::uint64_t> cursor_{0};
   std::atomic<bool> enabled_{true};
   std::atomic<std::uint64_t> auto_dumps_{0};
-
-  std::mutex sink_mu_;
-  DumpSink sink_;
 };
 
 /// Convenience wrappers over the global recorder (the runtime's call sites).

@@ -2,16 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
 
 namespace obs {
-
-namespace {
-constexpr double kNoExemplar = -std::numeric_limits<double>::infinity();
-}
 
 Histogram::Histogram(std::string name, std::vector<double> bounds)
     : name_(std::move(name)), bounds_(std::move(bounds)) {
@@ -19,13 +14,6 @@ Histogram::Histogram(std::string name, std::vector<double> bounds)
     throw std::invalid_argument("histogram bounds must be ascending");
   buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
   for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
-  // Slots exist unconditionally (a handful of atomics); the enable flag
-  // alone gates the record-path cost.
-  exemplar_slots_ = std::make_unique<ExemplarSlot[]>(bounds_.size() + 1);
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    exemplar_slots_[i].value.store(kNoExemplar, std::memory_order_relaxed);
-    exemplar_slots_[i].trace.store(0, std::memory_order_relaxed);
-  }
 }
 
 void Histogram::record(double v) noexcept {
@@ -34,23 +22,6 @@ void Histogram::record(double v) noexcept {
   buckets_[index].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   atomic_add(sum_, v);
-  if (exemplars_on_.load(std::memory_order_relaxed)) {
-    const std::uint64_t trace = current_trace().trace_id;
-    if (trace != 0) {
-      // CAS-max on the value; the winner also writes its trace id.  The
-      // value/trace pair is not updated atomically — a racing pair can mix
-      // briefly, which is fine for a debugging breadcrumb.
-      ExemplarSlot& slot = exemplar_slots_[index];
-      double cur = slot.value.load(std::memory_order_relaxed);
-      while (v > cur) {
-        if (slot.value.compare_exchange_weak(cur, v,
-                                             std::memory_order_relaxed)) {
-          slot.trace.store(trace, std::memory_order_relaxed);
-          break;
-        }
-      }
-    }
-  }
 }
 
 void Histogram::reset() noexcept {
@@ -58,10 +29,6 @@ void Histogram::reset() noexcept {
     buckets_[i].store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    exemplar_slots_[i].value.store(kNoExemplar, std::memory_order_relaxed);
-    exemplar_slots_[i].trace.store(0, std::memory_order_relaxed);
-  }
 }
 
 double Histogram::Snapshot::quantile(double q) const noexcept {
@@ -86,19 +53,6 @@ void Histogram::Snapshot::merge(const Snapshot& other) {
   for (std::size_t i = 0; i < buckets.size(); ++i) buckets[i] += other.buckets[i];
   count += other.count;
   sum += other.sum;
-  // Exemplars merge by keeping the worse observation per bucket.
-  if (!other.exemplars.empty()) {
-    if (exemplars.empty()) {
-      exemplars = other.exemplars;
-    } else {
-      for (std::size_t i = 0; i < exemplars.size(); ++i) {
-        const Exemplar& theirs = other.exemplars[i];
-        if (theirs.trace_id != 0 &&
-            (exemplars[i].trace_id == 0 || theirs.value > exemplars[i].value))
-          exemplars[i] = theirs;
-      }
-    }
-  }
 }
 
 Histogram::Snapshot Histogram::snapshot() const {
@@ -109,21 +63,6 @@ Histogram::Snapshot Histogram::snapshot() const {
     s.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
   s.count = count_.load(std::memory_order_relaxed);
   s.sum = sum_.load(std::memory_order_relaxed);
-  if (exemplars_on_.load(std::memory_order_relaxed)) {
-    // Read-and-reset: an exemplar names the worst traced observation since
-    // the *last* snapshot, so each scrape gets fresh breadcrumbs instead of
-    // the all-time max forever.
-    s.exemplars.resize(bounds_.size() + 1);
-    for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-      const double value =
-          exemplar_slots_[i].value.exchange(kNoExemplar,
-                                            std::memory_order_relaxed);
-      const std::uint64_t trace =
-          exemplar_slots_[i].trace.exchange(0, std::memory_order_relaxed);
-      if (trace != 0 && value != kNoExemplar)
-        s.exemplars[i] = Exemplar{value, trace};
-    }
-  }
   return s;
 }
 
@@ -323,117 +262,6 @@ std::string to_json(const MetricsSnapshot& snapshot) {
   // taken_at goes after the array so the schema prefix existing validators
   // grep for ('"metrics": {"schema_version": 1, "metrics": [') is unchanged.
   out += "\n], \"taken_at\": " + format_double(snapshot.taken_at) + "}";
-  return out;
-}
-
-namespace {
-
-/// Prometheus metric name: dots become underscores, and any byte outside
-/// the exposition grammar [a-zA-Z0-9_:] becomes `_` too — a newline or
-/// quote in a name must not be able to smuggle extra exposition lines.
-std::string mangle(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(0, 1, '_');
-  return out;
-}
-
-/// HELP text escaping per the exposition format: backslash and line feed.
-std::string escape_help(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '\\') out += "\\\\";
-    else if (c == '\n') out += "\\n";
-    else out += c;
-  }
-  return out;
-}
-
-/// Label value escaping: backslash, double quote and line feed.
-std::string escape_label(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '\\') out += "\\\\";
-    else if (c == '"') out += "\\\"";
-    else if (c == '\n') out += "\\n";
-    else out += c;
-  }
-  return out;
-}
-
-/// Compact rendering for bucket bounds (le labels want "0.001", not the
-/// round-trip-exact "%.17g" form).
-std::string format_bound(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
-}  // namespace
-
-std::string to_prometheus(const MetricsSnapshot& snapshot) {
-  std::string out;
-  for (const MetricEntry& e : snapshot.entries) {
-    std::string name = mangle(e.name);
-    switch (e.kind) {
-      case MetricEntry::Kind::counter: {
-        if (!name.ends_with("_total")) name += "_total";
-        out += "# HELP " + name + " " + escape_help(e.name) + "\n";
-        out += "# TYPE " + name + " counter\n";
-        out += name + " " + std::to_string(e.counter_value) + "\n";
-        break;
-      }
-      case MetricEntry::Kind::gauge: {
-        out += "# HELP " + name + " " + escape_help(e.name) + "\n";
-        out += "# TYPE " + name + " gauge\n";
-        out += name + " " + format_double(e.gauge_value) + "\n";
-        break;
-      }
-      case MetricEntry::Kind::histogram: {
-        // Our convention suffixes seconds-valued histograms with `_s`;
-        // Prometheus spells the unit out.
-        if (name.ends_with("_s"))
-          name.replace(name.size() - 2, 2, "_seconds");
-        out += "# HELP " + name + " " + escape_help(e.name) + "\n";
-        out += "# TYPE " + name + " histogram\n";
-        // OpenMetrics-style exemplar suffix for a bucket that remembered a
-        // traced worst observation: `... N # {trace_id="<hex>"} <value>`.
-        // The id renders as the dumps' fixed-width hex and still goes
-        // through escape_label — the escaping path must hold even if the
-        // rendering ever changes (regression-tested).
-        auto exemplar_suffix = [&](std::size_t bucket) {
-          if (bucket >= e.histogram.exemplars.size()) return std::string();
-          const Histogram::Exemplar& x = e.histogram.exemplars[bucket];
-          if (x.trace_id == 0) return std::string();
-          char id[24];
-          std::snprintf(id, sizeof(id), "%016llx",
-                        static_cast<unsigned long long>(x.trace_id));
-          return " # {trace_id=\"" + escape_label(id) + "\"} " +
-                 format_double(x.value);
-        };
-        std::uint64_t cumulative = 0;
-        for (std::size_t i = 0; i < e.histogram.bounds.size(); ++i) {
-          cumulative += e.histogram.buckets[i];
-          out += name + "_bucket{le=\"" +
-                 escape_label(format_bound(e.histogram.bounds[i])) + "\"} " +
-                 std::to_string(cumulative) + exemplar_suffix(i) + "\n";
-        }
-        out += name + "_bucket{le=\"+Inf\"} " +
-               std::to_string(e.histogram.count) +
-               exemplar_suffix(e.histogram.bounds.size()) + "\n";
-        out += name + "_sum " + format_double(e.histogram.sum) + "\n";
-        out += name + "_count " + std::to_string(e.histogram.count) + "\n";
-        break;
-      }
-    }
-  }
   return out;
 }
 

@@ -91,19 +91,6 @@ class Histogram {
 
   void record(double v) noexcept;
 
-  /// Opt-in exemplars: every bucket remembers the *worst* (largest) traced
-  /// observation — value plus ambient trace id — since the last snapshot.
-  /// Untraced observations (no ambient trace, or tracing off) never set an
-  /// exemplar, so untraced runs render byte-identical exports.  The
-  /// Prometheus exporter emits them as OpenMetrics-style exemplar comments
-  /// on the bucket lines.
-  void enable_exemplars() noexcept {
-    exemplars_on_.store(true, std::memory_order_relaxed);
-  }
-  bool exemplars_enabled() const noexcept {
-    return exemplars_on_.load(std::memory_order_relaxed);
-  }
-
   const std::string& name() const noexcept { return name_; }
   const std::vector<double>& bounds() const noexcept { return bounds_; }
   std::uint64_t count() const noexcept {
@@ -112,22 +99,12 @@ class Histogram {
   double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
   void reset() noexcept;
 
-  /// One bucket's worst traced observation since the last snapshot.
-  struct Exemplar {
-    double value = 0.0;
-    std::uint64_t trace_id = 0;  ///< 0 = no exemplar in this bucket
-  };
-
   /// Point-in-time copy, mergeable and queryable without the source.
   struct Snapshot {
     std::vector<double> bounds;
     std::vector<std::uint64_t> buckets;  ///< bounds.size() + 1 entries
     std::uint64_t count = 0;
     double sum = 0.0;
-    /// Empty unless exemplars are enabled; else bounds.size() + 1 entries
-    /// (trace_id 0 = none).  Taking a snapshot resets the source's slots —
-    /// "worst since last snapshot", matching scrape semantics.
-    std::vector<Exemplar> exemplars;
 
     double mean() const noexcept { return count ? sum / count : 0.0; }
     /// Bucket-resolution quantile estimate: the upper bound of the bucket
@@ -142,18 +119,11 @@ class Histogram {
   Snapshot snapshot() const;
 
  private:
-  struct ExemplarSlot {
-    std::atomic<double> value;
-    std::atomic<std::uint64_t> trace;
-  };
-
   std::string name_;
   std::vector<double> bounds_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
-  std::atomic<bool> exemplars_on_{false};
-  std::unique_ptr<ExemplarSlot[]> exemplar_slots_;  ///< bounds + 1 entries
 };
 
 /// Default latency bucket boundaries: a 1-2-5 ladder from 1 microsecond to
@@ -174,8 +144,8 @@ struct MetricEntry {
 struct MetricsSnapshot {
   std::vector<MetricEntry> entries;  ///< sorted by name (stable exports)
   /// obs::now() at snapshot time (monotonic; virtual under the simulator).
-  /// Scrapers — orbtop's --watch mode, Prometheus — compute rates from
-  /// (counter delta) / (taken_at delta) between successive snapshots.
+  /// Readers compute rates from (counter delta) / (taken_at delta) between
+  /// successive snapshots.
   double taken_at = 0.0;
 };
 
@@ -224,13 +194,5 @@ std::string to_text(const MetricsSnapshot& snapshot);
 ///      "bounds": [...], "buckets": [...]}  // buckets has bounds+1 entries
 ///   ], "taken_at": X}
 std::string to_json(const MetricsSnapshot& snapshot);
-
-/// Prometheus text exposition (version 0.0.4): names sanitized to
-/// `[a-zA-Z0-9_:]` (`.` -> `_`, anything hostile -> `_`, leading digit
-/// prefixed), counters end in `_total`, histograms in seconds end in
-/// `_seconds` and render *cumulative* `le` buckets plus `_sum`/`_count`,
-/// each metric preceded by `# HELP` (the original name, exposition-escaped)
-/// and `# TYPE` lines.  Label values escape `\`, `"` and newline.
-std::string to_prometheus(const MetricsSnapshot& snapshot);
 
 }  // namespace obs

@@ -9,27 +9,6 @@
 
 namespace obs {
 
-namespace {
-
-/// Keeps the last `limit` lines of a multi-line rendering (0 = all).
-std::string last_lines(const std::string& text, std::uint64_t limit) {
-  if (limit == 0) return text;
-  std::uint64_t seen = 0;
-  // Walk newlines from the back; a trailing newline does not count as an
-  // extra (empty) line.
-  std::size_t pos = text.size();
-  if (pos > 0 && text.back() == '\n') --pos;
-  while (pos > 0) {
-    const std::size_t nl = text.rfind('\n', pos - 1);
-    if (nl == std::string::npos) break;
-    if (++seen == limit) return text.substr(nl + 1);
-    pos = nl;
-  }
-  return text;
-}
-
-}  // namespace
-
 corba::Value event_to_value(const Event& event) {
   corba::ValueSeq out;
   out.emplace_back(std::string(to_string(event.topic)));
@@ -135,7 +114,7 @@ corba::Value HealthReport::to_value() const {
 
 HealthReport HealthReport::from_value(const corba::Value& value) {
   const corba::ValueSeq& fields = value.as_sequence();
-  if (fields.size() < 14)
+  if (fields.size() < 18)
     throw corba::BAD_PARAM("malformed health report: " +
                            std::to_string(fields.size()) + " fields");
   HealthReport report;
@@ -153,16 +132,10 @@ HealthReport HealthReport::from_value(const corba::Value& value) {
   report.checkpoint_bytes = fields[11].as_u64();
   report.flight_recorded = fields[12].as_u64();
   report.auto_dumps = fields[13].as_u64();
-  // Session fields arrived with resumable sessions; reports from an older
-  // node simply leave them zero.
-  if (fields.size() >= 17) {
-    report.sessions_active = fields[14].as_u64();
-    report.session_resumes = fields[15].as_u64();
-    report.session_retransmits = fields[16].as_u64();
-  }
-  // Connection gauge arrived with the reactor transport (same size-tolerant
-  // evolution pattern as the session fields).
-  if (fields.size() >= 18) report.tcp_connections = fields[17].as_u64();
+  report.sessions_active = fields[14].as_u64();
+  report.session_resumes = fields[15].as_u64();
+  report.session_retransmits = fields[16].as_u64();
+  report.tcp_connections = fields[17].as_u64();
   return report;
 }
 
@@ -229,25 +202,6 @@ HealthReport TelemetryServant::health() const {
 
 corba::Value TelemetryServant::dispatch(std::string_view op,
                                         const corba::ValueSeq& args) {
-  if (op == "get_metrics") {
-    check_arity(op, args, 1);
-    const std::string& format = args[0].as_string();
-    const MetricsSnapshot snapshot = MetricsRegistry::global().snapshot();
-    if (format == "text") return corba::Value(to_text(snapshot));
-    if (format == "json") return corba::Value(to_json(snapshot));
-    if (format == "prometheus") return corba::Value(to_prometheus(snapshot));
-    throw corba::BAD_PARAM("unknown metrics format: " + format);
-  }
-  if (op == "get_spans") {
-    check_arity(op, args, 1);
-    const std::uint64_t limit = args[0].as_u64();
-    if (!options_.spans) return corba::Value(std::string());
-    return corba::Value(last_lines(options_.spans->dump(), limit));
-  }
-  if (op == "get_flight_recorder") {
-    check_arity(op, args, 0);
-    return corba::Value(FlightRecorder::global().to_text());
-  }
   if (op == "health") {
     check_arity(op, args, 0);
     return health().to_value();
@@ -310,18 +264,6 @@ corba::Value TelemetryServant::subscribe(const corba::ValueSeq& args) {
                                {corba::Value(std::move(encoded))});
       });
   return corba::Value(id);
-}
-
-std::string TelemetryStub::get_metrics(const std::string& format) const {
-  return call("get_metrics", {corba::Value(format)}).as_string();
-}
-
-std::string TelemetryStub::get_spans(std::uint64_t limit) const {
-  return call("get_spans", {corba::Value(limit)}).as_string();
-}
-
-std::string TelemetryStub::get_flight_recorder() const {
-  return call("get_flight_recorder", {}).as_string();
 }
 
 HealthReport TelemetryStub::health() const {

@@ -32,7 +32,6 @@
 
 namespace obs {
 
-class SpanCollector;
 class SpanExporter;
 
 inline constexpr std::string_view kTelemetryRepoId =
@@ -109,9 +108,6 @@ struct TelemetryOptions {
   std::function<double()> load_index;
   std::function<std::uint64_t()> quarantined;
   std::function<std::uint64_t()> dispatch_queue_depth;
-  /// When set, get_spans() renders this collector (the caller keeps
-  /// ownership and must outlive the servant).
-  const SpanCollector* spans = nullptr;
   /// The node's ORB; the subscribe operation needs it to turn the wire
   /// consumer reference back into an invocable ObjectRef (install_telemetry
   /// fills this in).
@@ -131,9 +127,6 @@ struct TelemetryOptions {
 };
 
 /// Servant answering the introspection operations:
-///   get_metrics(format)     format in {"text", "json", "prometheus"}
-///   get_spans(limit)        last `limit` span lines (0 = all)
-///   get_flight_recorder()   FlightRecorder::global().to_text()
 ///   health()                flat HealthReport sequence
 ///   subscribe(consumer, topics, queue_limit, policy, interval)
 ///                           registers `consumer` (an EventConsumer ref) on
@@ -172,9 +165,6 @@ class TelemetryStub final : public corba::StubBase {
   TelemetryStub() = default;
   explicit TelemetryStub(corba::ObjectRef ref) : StubBase(std::move(ref)) {}
 
-  std::string get_metrics(const std::string& format = "text") const;
-  std::string get_spans(std::uint64_t limit = 0) const;
-  std::string get_flight_recorder() const;
   HealthReport health() const;
 
   /// Registers `consumer` on the node's push channel.  `topics` empty = all;

@@ -2,8 +2,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <memory>
+#include <mutex>
 #include <utility>
 
 namespace obs {
@@ -142,12 +142,6 @@ Span::~Span() {
   deliver(record_);
 }
 
-void Span::annotate(std::string_view detail) {
-  if (!active_) return;
-  if (!record_.detail.empty()) record_.detail += ' ';
-  record_.detail += detail;
-}
-
 void record_span(std::string_view name, std::string_view detail, double start,
                  double end, const TraceContext& parent) {
   if (!tracing_enabled()) return;
@@ -161,49 +155,6 @@ void record_span(std::string_view name, std::string_view detail, double start,
   record.start = start;
   record.end = end;
   deliver(record);
-}
-
-void SpanCollector::install() {
-  set_trace_sink([this](const SpanRecord& record) {
-    std::lock_guard lock(mu_);
-    records_.push_back(record);
-  });
-}
-
-std::vector<SpanRecord> SpanCollector::records() const {
-  std::lock_guard lock(mu_);
-  return records_;
-}
-
-std::size_t SpanCollector::size() const {
-  std::lock_guard lock(mu_);
-  return records_.size();
-}
-
-void SpanCollector::clear() {
-  std::lock_guard lock(mu_);
-  records_.clear();
-}
-
-std::string SpanCollector::dump() const {
-  std::lock_guard lock(mu_);
-  std::string out;
-  char buf[160];
-  for (const SpanRecord& r : records_) {
-    std::snprintf(buf, sizeof(buf),
-                  " trace=%016llx span=%016llx parent=%016llx [%.9f, %.9f]\n",
-                  static_cast<unsigned long long>(r.context.trace_id),
-                  static_cast<unsigned long long>(r.context.span_id),
-                  static_cast<unsigned long long>(r.context.parent_span_id),
-                  r.start, r.end);
-    out += r.name;
-    if (!r.detail.empty()) {
-      out += ' ';
-      out += r.detail;
-    }
-    out += buf;
-  }
-  return out;
 }
 
 }  // namespace obs

@@ -15,15 +15,13 @@
 // and a monotonically increasing allocation counter, and timestamps come
 // from the installed clock (the simulator installs its virtual clock).
 // Re-seeding via set_trace_seed() also resets the counter, so two same-seed
-// runs produce byte-identical span dumps.
+// runs produce identical span records.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace obs {
 
@@ -60,6 +58,7 @@ struct SpanRecord {
   TraceContext context;
   double start = 0.0;
   double end = 0.0;
+  friend bool operator==(const SpanRecord&, const SpanRecord&) = default;
 };
 
 using TraceSink = std::function<void(const SpanRecord&)>;
@@ -95,8 +94,6 @@ class Span {
   bool active() const noexcept { return active_; }
   /// This span's context (invalid when inactive).
   const TraceContext& context() const noexcept { return record_.context; }
-  /// Appends to the detail annotation (e.g. the chosen recovery path).
-  void annotate(std::string_view detail);
 
  private:
   bool active_ = false;
@@ -109,25 +106,5 @@ class Span {
 /// span becomes a child of `parent` when valid, else of the ambient context.
 void record_span(std::string_view name, std::string_view detail, double start,
                  double end, const TraceContext& parent = {});
-
-/// A convenient sink: thread-safe collector with a deterministic dump.
-class SpanCollector {
- public:
-  /// Installs this collector as the process sink (replacing any other).
-  void install();
-
-  std::vector<SpanRecord> records() const;
-  std::size_t size() const;
-  void clear();
-
-  /// One line per span in recording order:
-  ///   <name> <detail> trace=<id> span=<id> parent=<id> [<start>, <end>]
-  /// Byte-identical across same-seed runs (the determinism contract).
-  std::string dump() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<SpanRecord> records_;
-};
 
 }  // namespace obs

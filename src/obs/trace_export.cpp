@@ -120,7 +120,7 @@ void SpanExporter::uninstall() {
   if (installed_) {
     std::lock_guard lock(g_installed_mu);
     if (g_installed_exporter == this) {
-      // Restore the tee'd sink (a displaced SpanCollector keeps working) or
+      // Restore the tee'd sink (a displaced local sink keeps working) or
       // turn tracing off; either way this exporter stops receiving spans.
       set_trace_sink(options_.forward);
       g_installed_exporter = nullptr;

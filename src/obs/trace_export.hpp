@@ -1,11 +1,11 @@
 // Span export: the bridge from the per-process trace sink (obs/trace.hpp)
 // onto the `trace.span` topic of the event channel.
 //
-// PR 3's spans only ever landed in a local SpanCollector, so a cross-host
-// question ("where did this slow RPC spend its time?") had no data.  The
-// SpanExporter installs itself as the process trace sink, head-samples by
-// trace id, batches sampled records in a bounded buffer and publishes each
-// as one `trace.span` event — which then rides whatever the channel rides:
+// A local trace sink sees only its own process's spans, so a cross-host
+// question ("where did this slow RPC spend its time?") needs them shipped.
+// The SpanExporter installs itself as the process trace sink, head-samples
+// by trace id, batches sampled records in a bounded buffer and publishes
+// each as one `trace.span` event — which then rides whatever the channel rides:
 // virtual-clock delivery under the simulator, the oneway push carrier
 // through `_obs/<host>` over TCP.  The consumer half (obs::TraceAssembler)
 // stitches the per-host streams back into call trees.
@@ -49,7 +49,7 @@ SpanRecord span_from_event(const Event& event);
 /// carrier wraps its oneway `push` in one of these: delivering a batch of
 /// span events creates rpc/transport spans of its own, and exporting those
 /// would feed the channel its own exhaust in a loop.  Suppressed spans
-/// still reach the forward sink (a SpanCollector keeps seeing everything).
+/// still reach the forward sink (a test's local sink keeps seeing everything).
 class ExportSuppressScope {
  public:
   ExportSuppressScope() noexcept;
@@ -90,7 +90,7 @@ class SpanExporter {
     std::size_t buffer_limit = 8192;
     /// Optional tee: every span (sampled or not, suppressed or not) is
     /// forwarded here, so installing the exporter does not displace a
-    /// SpanCollector a test or the telemetry servant already relies on.
+    /// sink a test already relies on.
     TraceSink forward;
   };
 

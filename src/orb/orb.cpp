@@ -21,11 +21,6 @@ struct OrbMetrics {
       obs::MetricsRegistry::global().counter("orb.oneways_total");
   obs::Histogram& latency =
       obs::MetricsRegistry::global().histogram("orb.request_latency_s");
-
-  // Latency is only recorded while tracing is on (see invoke()), so every
-  // observation has an ambient trace — exemplars make the Prometheus export
-  // name the worst trace per bucket, joinable with orbtrace output.
-  OrbMetrics() { latency.enable_exemplars(); }
 };
 
 OrbMetrics& orb_metrics() {

@@ -778,13 +778,9 @@ bool Reactor::parse_frames(Loop& loop,
       const MessageHeader header = MessageHeader::decode(head);  // may throw
       const std::size_t frame_size =
           MessageHeader::kEncodedSize + header.body_length;
-      if (avail < frame_size) {
-        // Partial frame: make room for the whole body up front so a big
-        // frame arrives through one buffer growth, then wait for more bytes.
-        if (conn->rbuf_.size() < conn->rpos_ + frame_size)
-          conn->rbuf_.resize(conn->rpos_ + frame_size);
-        break;
-      }
+      // Partial frame: wait for more bytes.  handle_readable grows the
+      // buffer as they arrive, so an announced length costs no memory.
+      if (avail < frame_size) break;
       const std::span<const std::byte> body(
           conn->rbuf_.data() + conn->rpos_ + MessageHeader::kEncodedSize,
           header.body_length);

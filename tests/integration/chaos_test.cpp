@@ -13,6 +13,11 @@
 // for (covered in tests/ft/).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <mutex>
+#include <string_view>
+#include <vector>
+
 #include "obs/flight_recorder.hpp"
 #include "obs/trace.hpp"
 #include "opt/manager.hpp"
@@ -174,21 +179,30 @@ TEST_F(ChaosTest, SameSeedRunsProduceByteIdenticalObservabilityDumps) {
   // The observability layer must obey the same reproducibility contract as
   // the computation itself: spans are stamped from the virtual clock with
   // ids drawn from the runtime's seed, and flight events are ordered by
-  // the event queue — so two same-seed chaos runs render byte-identical
-  // trace and flight dumps.
+  // the event queue — so two same-seed chaos runs record identical spans
+  // and render byte-identical flight dumps.
   struct ObsDump {
-    std::string spans;
+    std::vector<obs::SpanRecord> spans;
     std::string flight;
   };
   auto observed_run = [&](std::uint64_t fault_seed) {
-    obs::SpanCollector spans;
-    spans.install();
+    ObsDump dump;
+    std::mutex mu;
+    obs::set_trace_sink([&](const obs::SpanRecord& record) {
+      std::lock_guard lock(mu);
+      dump.spans.push_back(record);
+    });
     const ChaosOutcome outcome = chaos_run(fault_seed);
     obs::set_trace_sink(nullptr);
     EXPECT_GE(outcome.result.recoveries, 1u);
     // The always-on flight recorder is cleared per SimRuntime, so its dump
     // covers exactly this run; render before the next run clears it again.
-    return ObsDump{spans.dump(), obs::FlightRecorder::global().to_text()};
+    dump.flight = obs::FlightRecorder::global().to_text();
+    return dump;
+  };
+  const auto has_span = [](const ObsDump& dump, std::string_view name) {
+    return std::any_of(dump.spans.begin(), dump.spans.end(),
+                       [&](const obs::SpanRecord& r) { return r.name == name; });
   };
 
   const ObsDump first = observed_run(11);
@@ -197,8 +211,8 @@ TEST_F(ChaosTest, SameSeedRunsProduceByteIdenticalObservabilityDumps) {
   ASSERT_FALSE(first.flight.empty());
   EXPECT_EQ(first.spans, second.spans);
   EXPECT_EQ(first.flight, second.flight);
-  EXPECT_NE(first.spans.find("proxy.recover"), std::string::npos);
-  EXPECT_NE(first.spans.find("servant.dispatch"), std::string::npos);
+  EXPECT_TRUE(has_span(first, "proxy.recover"));
+  EXPECT_TRUE(has_span(first, "servant.dispatch"));
   // The flight recorder saw RPC traffic plus the whole recovery story, not
   // just the rebind, without anything having been wired up in advance.
   EXPECT_NE(first.flight.find("rpc_start"), std::string::npos);

@@ -10,10 +10,12 @@
 #include <atomic>
 #include <mutex>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/event_channel.hpp"
+#include "obs/metrics.hpp"
 
 namespace obs {
 namespace {
@@ -78,25 +80,53 @@ TEST(FlightRecorderConcurrency, DumpingWhileWritersWrapStaysCoherent) {
 }
 
 TEST(FlightRecorderConcurrency, AutoDumpRacesWithWriters) {
-  FlightRecorder recorder(64);
-  std::atomic<std::uint64_t> delivered{0};
-  recorder.set_auto_dump_sink(
-      [&delivered](std::string_view, const std::string& dump) {
-        ASSERT_FALSE(dump.empty());
-        delivered.fetch_add(1, std::memory_order_relaxed);
+  // Every racing dump is counted and publishes the ring, and whatever it
+  // publishes is coherent.  A writer that laps the ring mid-dump can tear
+  // every slot, so a racing dump may deliver nothing; a final quiet dump
+  // must deliver the whole ring.
+  EventChannel::global().reset();
+  EventChannel::global().bind({});
+  std::mutex mu;
+  std::size_t quiet = 0;
+  EventChannel::global().subscribe(
+      {.topics = {Topic::flight_event}, .queue_limit = 1 << 14},
+      [&](std::span<const Event> batch) {
+        std::lock_guard lock(mu);
+        for (const Event& event : batch) {
+          EXPECT_EQ(event.key, "rpc_start");
+          for (const EventField& field : event.fields) {
+            if (field.name == "subject") EXPECT_EQ(field.str, "op");
+            if (field.name == "reason" && field.str == "quiet") ++quiet;
+          }
+        }
       });
+  Counter& published =
+      MetricsRegistry::global().counter("obs.flight.event_dumps_total");
+  const std::uint64_t published_before = published.value();
+
+  FlightRecorder recorder(64);
+  for (std::size_t i = 0; i < recorder.capacity(); ++i)
+    recorder.record(FlightEvent::rpc_start, "op");  // the ring starts full
   std::atomic<bool> stop{false};
   std::thread writer([&recorder, &stop] {
     std::uint64_t i = 0;
     while (!stop.load(std::memory_order_relaxed))
       recorder.record(FlightEvent::rpc_start, "op", ++i);
   });
-  for (int i = 0; i < 100; ++i) recorder.auto_dump("race round");
+  constexpr std::uint64_t kDumps = 100;
+  for (std::uint64_t i = 0; i < kDumps; ++i) recorder.auto_dump("race round");
   stop.store(true);
   writer.join();
-  recorder.set_auto_dump_sink(nullptr);
-  EXPECT_EQ(recorder.auto_dumps(), 100u);
-  EXPECT_EQ(delivered.load(), 100u);
+  recorder.auto_dump("quiet");
+  EventChannel::global().flush();
+
+  EXPECT_EQ(recorder.auto_dumps(), kDumps + 1);
+  EXPECT_EQ(published.value() - published_before, kDumps + 1);
+  {
+    std::lock_guard lock(mu);
+    EXPECT_EQ(quiet, recorder.capacity());
+  }
+  EventChannel::global().reset();
 }
 
 TEST(FlightRecorderConcurrency, LiveReportsRaceRpcWritersWithoutStaleDetail) {

@@ -100,43 +100,6 @@ TEST(FlightRecorder, ClearForgetsEverything) {
   EXPECT_EQ(events[0].index, 0u);
 }
 
-TEST(FlightRecorder, ToJsonCarriesSchemaAndEvents) {
-  FlightRecorder recorder(4);
-  recorder.record(FlightEvent::quarantine_trip, "Solver", 0, 1);
-  const std::string json = recorder.to_json();
-  EXPECT_EQ(json.find("{\"schema_version\": 1, \"recorded\": 1"), 0u);
-  EXPECT_NE(json.find("\"type\": \"quarantine_trip\""), std::string::npos);
-  EXPECT_NE(json.find("\"subject\": \"Solver\""), std::string::npos);
-  EXPECT_NE(json.find("\"b\": 1"), std::string::npos);
-}
-
-TEST(FlightRecorder, AutoDumpCountsWithoutASinkAndDeliversWithOne) {
-  FlightRecorder recorder(4);
-  recorder.record(FlightEvent::rpc_start, "op");
-  EXPECT_EQ(recorder.auto_dumps(), 0u);
-  recorder.auto_dump("no sink installed");
-  EXPECT_EQ(recorder.auto_dumps(), 1u);
-
-  std::string seen_reason;
-  std::string seen_dump;
-  recorder.set_auto_dump_sink(
-      [&](std::string_view reason, const std::string& dump) {
-        seen_reason = std::string(reason);
-        seen_dump = dump;
-      });
-  recorder.auto_dump("batched COMM_FAILURE on node0:1");
-  EXPECT_EQ(recorder.auto_dumps(), 2u);
-  EXPECT_EQ(seen_reason, "batched COMM_FAILURE on node0:1");
-  EXPECT_NE(seen_dump.find("rpc_start op"), std::string::npos);
-
-  // A throwing sink must not propagate out of the failing path.
-  recorder.set_auto_dump_sink(
-      [](std::string_view, const std::string&) { throw std::runtime_error("boom"); });
-  EXPECT_NO_THROW(recorder.auto_dump("still fine"));
-  EXPECT_EQ(recorder.auto_dumps(), 3u);
-  recorder.set_auto_dump_sink(nullptr);
-}
-
 TEST(FlightRecorder, DetailRoundTripsAndTruncates) {
   FlightRecorder recorder(8);
   recorder.report(FlightEvent::recovery_step, "Table",
@@ -157,9 +120,7 @@ TEST(FlightRecorder, DetailRoundTripsAndTruncates) {
   EXPECT_NE(text.find("#0 recovery_step Table a=rebound b=1 detail=node1\n"),
             std::string::npos);
   EXPECT_NE(text.find("#2 rpc_start op a=1 b=0\n"), std::string::npos);
-  const std::string json = recorder.to_json();
-  EXPECT_NE(json.find("\"detail\": \"node1\""), std::string::npos);
-  EXPECT_EQ(json.find("ignored"), std::string::npos);
+  EXPECT_EQ(text.find("ignored"), std::string::npos);
 }
 
 TEST(FlightRecorder, ReusedSlotRendersNoStaleDetail) {
@@ -172,7 +133,6 @@ TEST(FlightRecorder, ReusedSlotRendersNoStaleDetail) {
   EXPECT_EQ(events[1].type, FlightEvent::rpc_start);
   EXPECT_EQ(events[1].detail, "");
   EXPECT_EQ(recorder.to_text().find("node7"), std::string::npos);
-  EXPECT_EQ(recorder.to_json().find("detail"), std::string::npos);
 }
 
 TEST(FlightRecorder, RecordStampsFromTheInstalledClock) {
@@ -226,6 +186,38 @@ std::uint64_t field_u64(const Event& event, std::string_view name) {
   for (const EventField& field : event.fields)
     if (field.name == name) return field.u64;
   return ~0ull;
+}
+
+TEST(FlightRecorder, AutoDumpCountsWithoutASinkAndDeliversWithOne) {
+  EventChannel& channel = EventChannel::global();
+  channel.reset();
+  channel.bind({});
+  FlightRecorder recorder(4);
+  recorder.record(FlightEvent::rpc_start, "op");
+  EXPECT_EQ(recorder.auto_dumps(), 0u);
+  recorder.auto_dump("no subscriber");
+  EXPECT_EQ(recorder.auto_dumps(), 1u);
+
+  std::mutex mu;
+  std::vector<Event> received;
+  channel.subscribe({.topics = {Topic::flight_event}},
+                    [&](std::span<const Event> batch) {
+                      std::lock_guard lock(mu);
+                      received.insert(received.end(), batch.begin(),
+                                      batch.end());
+                    });
+  recorder.auto_dump("batched COMM_FAILURE on node0:1");
+  channel.flush();
+  EXPECT_EQ(recorder.auto_dumps(), 2u);
+  {
+    std::lock_guard lock(mu);
+    ASSERT_EQ(received.size(), 1u);
+    EXPECT_EQ(received[0].key, "rpc_start");
+    EXPECT_EQ(field_str(received[0], "reason"),
+              "batched COMM_FAILURE on node0:1");
+    EXPECT_EQ(field_str(received[0], "subject"), "op");
+  }
+  channel.reset();
 }
 
 TEST_F(FlightReportTest, LiveEventReachesSubscriberWithoutAutoDump) {

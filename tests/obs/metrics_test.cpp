@@ -6,7 +6,6 @@
 
 #include <stdexcept>
 
-#include "obs/trace.hpp"
 
 namespace obs {
 namespace {
@@ -167,66 +166,14 @@ TEST(Exporters, SnapshotCarriesAMonotonicTimestamp) {
   EXPECT_EQ(json.back(), '}');
 }
 
-TEST(Exporters, PrometheusExpositionFormat) {
-  MetricsRegistry registry;
-  registry.counter("orb.requests_total").inc(3);
-  registry.counter("naming.resolves").inc(1);  // no _total suffix yet
-  registry.gauge("transport.tcp.connections").set(2.0);
-  Histogram& h = registry.histogram("orb.request_latency_s", {0.1, 1.0});
-  h.record(0.05);
-  h.record(0.5);
-  h.record(5.0);
-  const std::string prom = to_prometheus(registry.snapshot());
-
-  // Dots mangle to underscores; counters keep (or gain) the _total suffix.
-  EXPECT_NE(prom.find("# TYPE orb_requests_total counter"), std::string::npos);
-  EXPECT_NE(prom.find("orb_requests_total 3"), std::string::npos);
-  EXPECT_NE(prom.find("naming_resolves_total 1"), std::string::npos);
-  EXPECT_NE(prom.find("# TYPE transport_tcp_connections gauge"),
-            std::string::npos);
-  EXPECT_NE(prom.find("transport_tcp_connections 2"), std::string::npos);
-
-  // Histograms in seconds rename _s -> _seconds and render *cumulative*
-  // le buckets plus +Inf, _sum and _count.
-  EXPECT_NE(prom.find("# TYPE orb_request_latency_seconds histogram"),
-            std::string::npos);
-  EXPECT_NE(prom.find("orb_request_latency_seconds_bucket{le=\"0.1\"} 1"),
-            std::string::npos);
-  EXPECT_NE(prom.find("orb_request_latency_seconds_bucket{le=\"1\"} 2"),
-            std::string::npos);
-  EXPECT_NE(prom.find("orb_request_latency_seconds_bucket{le=\"+Inf\"} 3"),
-            std::string::npos);
-  EXPECT_NE(prom.find("orb_request_latency_seconds_count 3"),
-            std::string::npos);
-  EXPECT_NE(prom.find("orb_request_latency_seconds_sum"), std::string::npos);
-}
-
-// Hostile metric names must not corrupt either exporter: a name carrying a
-// quote, backslash or newline could otherwise break JSON parsing or smuggle
-// extra lines (even fake samples) into the Prometheus exposition.
+// Hostile metric names must not corrupt the JSON export: a name carrying a
+// quote, backslash or newline could otherwise break parsing.
 TEST(Exporters, HostileMetricNamesAreEscapedEverywhere) {
   MetricsRegistry registry;
   const std::string hostile = "bad\nname\\with\"quote";
   registry.counter(hostile).inc(7);
   registry.gauge("9leads.with.digit").set(1.0);
   registry.histogram("evil\tlat_s", {0.1}).record(0.05);
-
-  const std::string prom = to_prometheus(registry.snapshot());
-  // Sample names sanitize every hostile byte to '_' (leading digits get a
-  // prefix), so the exposition stays parseable...
-  EXPECT_NE(prom.find("bad_name_with_quote_total 7"), std::string::npos);
-  EXPECT_NE(prom.find("_9leads_with_digit 1"), std::string::npos);
-  EXPECT_NE(prom.find("# TYPE evil_lat_seconds histogram"), std::string::npos);
-  EXPECT_NE(prom.find("evil_lat_seconds_count 1"), std::string::npos);
-  // ... and the HELP line keeps the original name with exposition escaping
-  // (literal backslash-n, escaped backslash), never a raw newline.
-  EXPECT_NE(prom.find("# HELP bad_name_with_quote_total bad\\nname\\\\with\"quote"),
-            std::string::npos);
-  EXPECT_EQ(prom.find("bad\nname"), std::string::npos);
-  // Every metric kind announces itself.
-  EXPECT_NE(prom.find("# TYPE bad_name_with_quote_total counter"),
-            std::string::npos);
-  EXPECT_NE(prom.find("# TYPE _9leads_with_digit gauge"), std::string::npos);
 
   const std::string json = to_json(registry.snapshot());
   // RFC 8259 escapes: no raw newline/tab/quote/backslash inside the name
@@ -235,85 +182,6 @@ TEST(Exporters, HostileMetricNamesAreEscapedEverywhere) {
   EXPECT_NE(json.find("\"evil\\tlat_s\""), std::string::npos);
   EXPECT_EQ(json.find("bad\nname"), std::string::npos);
   EXPECT_EQ(json.find('\t'), std::string::npos);
-}
-
-// Latency-histogram exemplars: each bucket remembers the worst *traced*
-// observation since the last snapshot, and the Prometheus exporter renders
-// it as an OpenMetrics-style comment the scrape format tolerates.
-TEST(Exemplars, WorstTracedObservationPerBucketRendersAndResets) {
-  MetricsRegistry registry;
-  Histogram& h = registry.histogram("orb.request_latency_s", {0.1, 1.0});
-  EXPECT_FALSE(h.exemplars_enabled());
-  h.enable_exemplars();
-  EXPECT_TRUE(h.exemplars_enabled());
-
-  const TraceContext saved = exchange_current_trace({});
-  h.record(0.05);  // untraced: never leaves an exemplar
-  exchange_current_trace({0xabc, 1, 0});
-  h.record(0.0625);  // binary-exact, so the %.17g rendering stays short
-  exchange_current_trace({0xdef, 2, 0});
-  h.record(0.03125);  // smaller than 0.0625: loses the per-bucket max
-  exchange_current_trace({0x123, 3, 0});
-  h.record(5.0);  // lands in the +Inf bucket
-  exchange_current_trace({});
-  h.record(7.0);  // untraced, larger — must not displace 5.0's trace id
-
-  const std::string prom = to_prometheus(registry.snapshot());
-  EXPECT_NE(
-      prom.find("orb_request_latency_seconds_bucket{le=\"0.1\"} 3 "
-                "# {trace_id=\"0000000000000abc\"} 0.0625"),
-      std::string::npos);
-  // A bucket with no traced observation renders without a suffix.
-  EXPECT_NE(prom.find("orb_request_latency_seconds_bucket{le=\"1\"} 3\n"),
-            std::string::npos);
-  EXPECT_NE(
-      prom.find("orb_request_latency_seconds_bucket{le=\"+Inf\"} 5 "
-                "# {trace_id=\"0000000000000123\"} 5"),
-      std::string::npos);
-
-  // Read-and-reset: the next snapshot starts a fresh observation window.
-  const std::string second = to_prometheus(registry.snapshot());
-  EXPECT_EQ(second.find("# {"), std::string::npos);
-  exchange_current_trace(saved);
-}
-
-TEST(Exemplars, DisabledHistogramsRenderByteIdenticalExposition) {
-  // With exemplars off (the default), traced observations change nothing:
-  // the exposition matches a histogram that observed the same values with
-  // no ambient trace at all.
-  auto render = [](bool traced) {
-    MetricsRegistry registry;
-    Histogram& h = registry.histogram("orb.request_latency_s", {0.1});
-    const TraceContext saved = exchange_current_trace(
-        traced ? TraceContext{0x77, 1, 0} : TraceContext{});
-    h.record(0.05);
-    h.record(0.5);
-    exchange_current_trace(saved);
-    return to_prometheus(registry.snapshot());
-  };
-  const std::string with_trace = render(true);
-  EXPECT_EQ(with_trace, render(false));
-  EXPECT_EQ(with_trace.find("# {"), std::string::npos);
-}
-
-// The exemplar suffix must survive a hostile metric name: the label value
-// stays quoted/escaped and the sample line parseable.
-TEST(Exemplars, SuffixSurvivesHostileMetricNames) {
-  MetricsRegistry registry;
-  Histogram& h = registry.histogram("evil\nlat\"s_s", {0.5});
-  h.enable_exemplars();
-  const TraceContext saved = exchange_current_trace({0xbeef, 1, 0});
-  h.record(0.25);
-  exchange_current_trace(saved);
-
-  const std::string prom = to_prometheus(registry.snapshot());
-  EXPECT_NE(prom.find("_bucket{le=\"0.5\"} 1 "
-                      "# {trace_id=\"000000000000beef\"} 0.25"),
-            std::string::npos);
-  // The hostile bytes were sanitized out of the sample name, so no raw
-  // newline or quote splits the exemplar line.
-  EXPECT_NE(prom.find("evil_lat_s_seconds_bucket"), std::string::npos);
-  EXPECT_EQ(prom.find("evil\nlat"), std::string::npos);
 }
 
 TEST(Registry, GlobalIsUsableAndStable) {

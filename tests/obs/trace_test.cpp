@@ -18,6 +18,13 @@ class TraceTest : public ::testing::Test {
     exchange_current_trace(TraceContext{});
   }
 
+  /// Installs a sink appending every finished span to records_ (the tests
+  /// are single-threaded, so no lock).
+  void collect() {
+    records_.clear();
+    set_trace_sink([this](const SpanRecord& r) { records_.push_back(r); });
+  }
+
   /// Deterministic time source: t advances by 1 on every reading.
   void install_step_clock() {
     auto t = std::make_shared<double>(0.0);
@@ -25,6 +32,7 @@ class TraceTest : public ::testing::Test {
   }
 
   std::uint64_t clock_token_ = 0;
+  std::vector<SpanRecord> records_;
 };
 
 TEST_F(TraceTest, InertWithoutSink) {
@@ -33,12 +41,10 @@ TEST_F(TraceTest, InertWithoutSink) {
   EXPECT_FALSE(span.active());
   EXPECT_FALSE(span.context().valid());
   EXPECT_FALSE(current_trace().valid());
-  span.annotate("ignored");  // must be a no-op, not a crash
 }
 
 TEST_F(TraceTest, SpansNestAndRestoreTheAmbientContext) {
-  SpanCollector collector;
-  collector.install();
+  collect();
   EXPECT_TRUE(tracing_enabled());
 
   TraceContext outer_ctx, inner_ctx;
@@ -61,17 +67,15 @@ TEST_F(TraceTest, SpansNestAndRestoreTheAmbientContext) {
   EXPECT_FALSE(current_trace().valid());
 
   // Spans are delivered on completion: inner first.
-  const auto records = collector.records();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].name, "marshal.cdr");
-  EXPECT_EQ(records[0].context, inner_ctx);
-  EXPECT_EQ(records[1].name, "rpc.client");
-  EXPECT_EQ(records[1].context, outer_ctx);
+  ASSERT_EQ(records_.size(), 2u);
+  EXPECT_EQ(records_[0].name, "marshal.cdr");
+  EXPECT_EQ(records_[0].context, inner_ctx);
+  EXPECT_EQ(records_[1].name, "rpc.client");
+  EXPECT_EQ(records_[1].context, outer_ctx);
 }
 
 TEST_F(TraceTest, AdoptedWireContextParentsTheLocalSpan) {
-  SpanCollector collector;
-  collector.install();
+  collect();
 
   // The server-side dispatch path adopts the wire context like this.
   const TraceContext wire{1234, 5678, 0};
@@ -87,30 +91,16 @@ TEST_F(TraceTest, AdoptedWireContextParentsTheLocalSpan) {
 }
 
 TEST_F(TraceTest, RecordSpanHonoursAnExplicitParent) {
-  SpanCollector collector;
-  collector.install();
+  collect();
 
   const TraceContext parent{99, 7, 0};
   record_span("transport.roundtrip", "solve -> node1 ok", 1.0, 2.5, parent);
-  const auto records = collector.records();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].context.trace_id, 99u);
-  EXPECT_EQ(records[0].context.parent_span_id, 7u);
-  EXPECT_NE(records[0].context.span_id, 0u);
-  EXPECT_DOUBLE_EQ(records[0].start, 1.0);
-  EXPECT_DOUBLE_EQ(records[0].end, 2.5);
-}
-
-TEST_F(TraceTest, AnnotateAppendsToTheDetail) {
-  SpanCollector collector;
-  collector.install();
-  {
-    Span span("proxy.recover", "Service");
-    span.annotate("via factory");
-  }
-  const auto records = collector.records();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].detail, "Service via factory");
+  ASSERT_EQ(records_.size(), 1u);
+  EXPECT_EQ(records_[0].context.trace_id, 99u);
+  EXPECT_EQ(records_[0].context.parent_span_id, 7u);
+  EXPECT_NE(records_[0].context.span_id, 0u);
+  EXPECT_DOUBLE_EQ(records_[0].start, 1.0);
+  EXPECT_DOUBLE_EQ(records_[0].end, 2.5);
 }
 
 TEST_F(TraceTest, SameSeedRunsProduceByteIdenticalDumps) {
@@ -119,18 +109,18 @@ TEST_F(TraceTest, SameSeedRunsProduceByteIdenticalDumps) {
     if (clock_token_) clear_clock(clock_token_);
     install_step_clock();
     set_trace_seed(seed);
-    SpanCollector collector;
-    collector.install();
+    collect();
     {
       Span outer("rpc.client", "solve");
       Span inner("marshal.cdr", "solve");
     }
     record_span("transport.roundtrip", "solve -> node0 ok", 0.5, 1.5);
-    return collector.dump();
+    return records_;
   };
 
-  const std::string first = run_once(2026);
-  const std::string second = run_once(2026);
+  // Same seed: every field of every record matches, ids and times alike.
+  const std::vector<SpanRecord> first = run_once(2026);
+  const std::vector<SpanRecord> second = run_once(2026);
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second);
 
@@ -139,8 +129,7 @@ TEST_F(TraceTest, SameSeedRunsProduceByteIdenticalDumps) {
 }
 
 TEST_F(TraceTest, ZeroSeedStillYieldsValidIds) {
-  SpanCollector collector;
-  collector.install();
+  collect();
   set_trace_seed(0);
   Span span("rpc.client", "op");
   EXPECT_TRUE(span.context().valid());

@@ -1,10 +1,10 @@
 // Reactor receive-path tests: incremental frame assembly (byte-dribbled and
-// interleaved partial frames), loss of a frame mid-assembly, a hostile frame
-// length, partial reply writes drained on EPOLLOUT against a slow reader,
-// dispatch-queue back-pressure (stalled connections resume instead of
-// dropping requests), idle-connection harvesting, sessions over the reactor,
-// inline dispatch of non_blocking() servants on the I/O thread, and
-// endpoint restart on the same port.
+// interleaved partial frames), loss of a frame mid-assembly, hostile and
+// announced-but-unsent frame lengths, partial reply writes drained on
+// EPOLLOUT against a slow reader, dispatch-queue back-pressure (stalled
+// connections resume instead of dropping requests), idle-connection
+// harvesting, sessions over the reactor, inline dispatch of non_blocking()
+// servants on the I/O thread, and endpoint restart on the same port.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <latch>
 #include <mutex>
 #include <set>
@@ -52,6 +53,15 @@ std::vector<std::byte> encode_request(const RequestMessage& req) {
   CdrOutputStream body;
   req.encode_body(body);
   return encode_frame(MessageType::request, body);
+}
+
+/// This process's resident set size in KiB (VmRSS of /proc/self/status).
+std::size_t rss_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoul(line.substr(6));
+  return 0;
 }
 
 ReplyMessage recv_reply(Socket& socket, double timeout_s = 10.0) {
@@ -209,6 +219,32 @@ TEST_F(ReactorTest, HostileFrameLengthDropsOnlyThatConnection) {
   Socket fresh = Socket::connect("127.0.0.1", server_->tcp_port());
   fresh.send_bytes(encode_request(make_add_request(target_.ior(), 9, 4, 5)));
   EXPECT_EQ(recv_reply(fresh).result_or_throw().as_i32(), 9);
+}
+
+TEST_F(ReactorTest, AnnouncedFrameLengthCostsNoMemory) {
+  // Headers that each announce a near-maximal (still legal) body followed
+  // by 1 KiB of it: the server buffers the bytes that arrived, not the
+  // length a peer claims, so four such connections leave RSS flat.
+  MessageHeader header;
+  header.body_length = MessageHeader::kMaxBodyLength - 1;
+  std::vector<std::byte> partial(MessageHeader::kEncodedSize + 1024);
+  const auto head = header.encode();
+  std::copy(head.begin(), head.end(), partial.begin());
+
+  const std::size_t before = rss_kib();
+  std::vector<Socket> sockets;
+  for (int i = 0; i < 4; ++i) {
+    sockets.push_back(Socket::connect("127.0.0.1", server_->tcp_port()));
+    sockets.back().send_bytes(partial);
+  }
+  std::this_thread::sleep_for(100ms);  // let the reactor ingest every header
+  const std::size_t after = rss_kib();
+  EXPECT_LT(after - std::min(after, before), 32u * 1024)
+      << "RSS grew from " << before << " KiB to " << after << " KiB";
+
+  Socket fresh = Socket::connect("127.0.0.1", server_->tcp_port());
+  fresh.send_bytes(encode_request(make_add_request(target_.ior(), 10, 6, 7)));
+  EXPECT_EQ(recv_reply(fresh).result_or_throw().as_i32(), 13);
 }
 
 TEST_F(ReactorTest, PipelinedBurstRepliesInOrder) {
