@@ -11,41 +11,8 @@
 // drop rate × healing network partition × retry backoff on/off — run on the
 // 30/3 scenario.  Every cell must still converge to the failure-free
 // optimum; the runtime and retry columns show what each fault mode costs
-// and what backoff buys.  Results are also emitted as machine-readable
-// BENCH_recovery.json for the perf trajectory.
+// and what backoff buys.
 #include "bench_common.hpp"
-
-namespace {
-
-struct MatrixCell {
-  double drop_rate = 0.0;
-  bool partition = false;
-  bool backoff = false;
-  bench::RunOutcome outcome;
-  bool same_result = false;
-};
-
-void json_outcome(std::FILE* f, const bench::RunOutcome& o) {
-  std::fprintf(f,
-               "\"runtime\": %.6f, \"best_value\": %.17g, "
-               "\"recoveries\": %llu, \"retries\": %llu, "
-               "\"checkpoints\": %llu, \"checkpoint_failures\": %llu, "
-               "\"deadline_exhaustions\": %llu, \"backoff_waited_s\": %.6f, "
-               "\"injected_drops\": %llu, \"injected_blocks\": %llu, "
-               "\"injected_spikes\": %llu",
-               o.runtime, o.best_value,
-               static_cast<unsigned long long>(o.recoveries),
-               static_cast<unsigned long long>(o.retries),
-               static_cast<unsigned long long>(o.checkpoints),
-               static_cast<unsigned long long>(o.checkpoint_failures),
-               static_cast<unsigned long long>(o.deadline_exhaustions),
-               o.backoff_waited_s,
-               static_cast<unsigned long long>(o.injected_drops),
-               static_cast<unsigned long long>(o.injected_blocks),
-               static_cast<unsigned long long>(o.injected_spikes));
-}
-
-}  // namespace
 
 int main() {
   using namespace bench;
@@ -71,45 +38,29 @@ int main() {
               "with FT proxy", "recoveries", "same result");
   print_rule(68);
 
-  struct CrashRow {
-    int crashes;
-    bool plain_aborts;
-    double plain_runtime;
-    RunOutcome ft;
-    bool same_result;
-  };
-  std::vector<CrashRow> crash_rows;
   for (int crashes = 0; crashes <= 3; ++crashes) {
     std::vector<std::pair<double, std::string>> schedule;
     for (int i = 0; i < crashes; ++i)
       schedule.emplace_back(250.0 + 200.0 * i, host_name(i));
 
-    CrashRow row;
-    row.crashes = crashes;
     std::string plain_cell;
     try {
       RunSettings plain;
       plain.strategy = naming::ResolveStrategy::winner;
       plain.crashes = schedule;
-      const RunOutcome outcome = run_scenario(crash_scenario, plain);
-      row.plain_aborts = false;
-      row.plain_runtime = outcome.runtime;
-      plain_cell = std::to_string(outcome.runtime).substr(0, 7);
+      const double runtime = run_scenario(crash_scenario, plain).runtime;
+      plain_cell = std::to_string(runtime).substr(0, 7);
     } catch (const corba::COMM_FAILURE&) {
-      row.plain_aborts = true;
-      row.plain_runtime = 0.0;
       plain_cell = "aborts";
     }
 
     RunSettings ft = ft_base;
     ft.crashes = schedule;
-    row.ft = run_scenario(crash_scenario, ft);
-    row.same_result = row.ft.best_value == crash_free.best_value;
+    const RunOutcome outcome = run_scenario(crash_scenario, ft);
     std::printf("%-10d%16s%16.1f%12llu%14s\n", crashes, plain_cell.c_str(),
-                row.ft.runtime,
-                static_cast<unsigned long long>(row.ft.recoveries),
-                row.same_result ? "yes" : "NO");
-    crash_rows.push_back(std::move(row));
+                outcome.runtime,
+                static_cast<unsigned long long>(outcome.recoveries),
+                outcome.best_value == crash_free.best_value ? "yes" : "NO");
   }
 
   // ---- Part 2: fault matrix (30/3) -----------------------------------------
@@ -142,7 +93,6 @@ int main() {
               "same result");
   print_rule(88);
 
-  std::vector<MatrixCell> cells;
   for (const double drop_rate : {0.0, 0.005, 0.02}) {
     for (const bool partition : {false, true}) {
       if (drop_rate == 0.0 && !partition) continue;  // = baseline
@@ -157,20 +107,14 @@ int main() {
               {.start = 40.0, .heal = 70.0, .group = {host_name(0)}});
         settings.faults = plan;
 
-        MatrixCell cell;
-        cell.drop_rate = drop_rate;
-        cell.partition = partition;
-        cell.backoff = backoff;
-        cell.outcome = run_scenario(matrix_scenario, settings);
-        cell.same_result = cell.outcome.best_value == fault_free.best_value;
+        const RunOutcome outcome = run_scenario(matrix_scenario, settings);
         std::printf("%-8.3f%-11s%-9s%12.1f%12llu%10llu%12llu%14s\n",
                     drop_rate, partition ? "yes" : "no",
-                    backoff ? "on" : "off", cell.outcome.runtime,
-                    static_cast<unsigned long long>(cell.outcome.recoveries),
-                    static_cast<unsigned long long>(cell.outcome.retries),
-                    static_cast<unsigned long long>(cell.outcome.injected_drops),
-                    cell.same_result ? "yes" : "NO");
-        cells.push_back(std::move(cell));
+                    backoff ? "on" : "off", outcome.runtime,
+                    static_cast<unsigned long long>(outcome.recoveries),
+                    static_cast<unsigned long long>(outcome.retries),
+                    static_cast<unsigned long long>(outcome.injected_drops),
+                    outcome.best_value == fault_free.best_value ? "yes" : "NO");
       }
     }
   }
@@ -179,55 +123,5 @@ int main() {
       "\nReading: every crash aborts the plain run; the proxied run "
       "completes with\nthe identical optimization result under crashes, "
       "drops and partitions alike,\npaying recovery + re-execution time.\n");
-
-  // ---- Machine-readable output ---------------------------------------------
-  const char* json_path = "BENCH_recovery.json";
-  std::FILE* f = std::fopen(json_path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"ablation_recovery\",\n");
-  std::fprintf(f, "  \"crash_scenario\": \"%s\",\n",
-               crash_scenario.name.c_str());
-  std::fprintf(f, "  \"crash_baseline\": {");
-  json_outcome(f, crash_free);
-  std::fprintf(f, "},\n  \"crash_ablation\": [\n");
-  for (std::size_t i = 0; i < crash_rows.size(); ++i) {
-    const CrashRow& row = crash_rows[i];
-    std::fprintf(f,
-                 "    {\"crashes\": %d, \"plain_aborts\": %s, "
-                 "\"plain_runtime\": %.6f, \"same_result\": %s, ",
-                 row.crashes, row.plain_aborts ? "true" : "false",
-                 row.plain_runtime, row.same_result ? "true" : "false");
-    json_outcome(f, row.ft);
-    std::fprintf(f, "}%s\n", i + 1 < crash_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"matrix_scenario\": \"%s\",\n",
-               matrix_scenario.name.c_str());
-  std::fprintf(f, "  \"matrix_baseline\": {");
-  json_outcome(f, fault_free);
-  std::fprintf(f, "},\n  \"fault_matrix\": [\n");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const MatrixCell& cell = cells[i];
-    std::fprintf(f,
-                 "    {\"drop_rate\": %.3f, \"partition\": %s, "
-                 "\"backoff\": %s, \"same_result\": %s, ",
-                 cell.drop_rate, cell.partition ? "true" : "false",
-                 cell.backoff ? "true" : "false",
-                 cell.same_result ? "true" : "false");
-    json_outcome(f, cell.outcome);
-    std::fprintf(f, "}%s\n", i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  // Same embedded-metrics convention as write_bench_json, including the
-  // zeroed scrape timestamp (bench artifacts diff across runs).
-  obs::MetricsSnapshot snapshot = obs::MetricsRegistry::global().snapshot();
-  snapshot.taken_at = 0.0;
-  const std::string metrics = obs::to_json(snapshot);
-  std::fprintf(f, "  \"metrics\": %s\n}\n", metrics.c_str());
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path);
   return 0;
 }

@@ -6,8 +6,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -21,85 +19,8 @@
 
 namespace bench {
 
-/// True when the bench should run a reduced workload (CI smoke runs, the
-/// `bench-smoke` target).  An env var rather than a flag so google-benchmark
-/// binaries don't need their own argument parsing.
-inline bool smoke_mode() {
-  return std::getenv("CORBAFT_BENCH_SMOKE") != nullptr;
-}
-
-// --- perf-trajectory JSON ----------------------------------------------------
-// BENCH_*.json files record each bench's headline numbers as
-//   {"bench": <name>, "schema_version": 1, "rows": [{...}, ...]}
-// with flat string/number fields per row, so the trajectory can be diffed
-// across commits by simple tooling.
-
-struct JsonField {
-  std::string key;
-  std::string literal;  ///< pre-rendered JSON value (quoted or numeric)
-};
-
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-inline JsonField jstr(std::string key, const std::string& value) {
-  return {std::move(key), "\"" + json_escape(value) + "\""};
-}
-
-inline JsonField jnum(std::string key, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return {std::move(key), buf};
-}
-
-inline JsonField jint(std::string key, std::uint64_t value) {
-  return {std::move(key), std::to_string(value)};
-}
-
-using JsonRow = std::vector<JsonField>;
-
-/// Writes the trajectory file; returns false (after a warning) on IO errors
-/// so benches keep printing their tables even on a read-only work dir.
-/// Every file also embeds the run's global metrics snapshot under
-/// "metrics" (schema in src/obs/metrics.hpp), so a trajectory diff can see
-/// not just the headline numbers but the runtime counters behind them.
-inline bool write_bench_json(const std::string& path, const std::string& name,
-                             const std::vector<JsonRow>& rows) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "WARNING: cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << "{\"bench\": \"" << json_escape(name) << "\", \"schema_version\": 1, "
-      << "\"rows\": [";
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    out << (r == 0 ? "\n" : ",\n") << "  {";
-    for (std::size_t f = 0; f < rows[r].size(); ++f) {
-      if (f > 0) out << ", ";
-      out << "\"" << json_escape(rows[r][f].key) << "\": " << rows[r][f].literal;
-    }
-    out << "}";
-  }
-  // Zero the scrape timestamp: bench artifacts are diffed across runs as a
-  // determinism check, and a wall-clock taken_at is meaningless for a
-  // finished run anyway (live scrapers get the real one via telemetry).
-  obs::MetricsSnapshot snapshot = obs::MetricsRegistry::global().snapshot();
-  snapshot.taken_at = 0.0;
-  out << "\n],\n\"metrics\": " << obs::to_json(snapshot) << "}\n";
-  return out.good();
-}
-
-/// Per-bench latency aggregation on top of the obs histogram: benches used
-/// to hand-roll mean/percentile sums; this gives them the same fixed-bucket
-/// machinery the runtime instrumentation uses (and the same quantile
-/// semantics, documented on Histogram::Snapshot).
+/// Per-bench latency aggregation on the same fixed-bucket obs histogram the
+/// runtime instrumentation uses.
 class LatencyRecorder {
  public:
   explicit LatencyRecorder(std::string name,
@@ -107,12 +28,7 @@ class LatencyRecorder {
       : histogram_(std::move(name), std::move(bounds)) {}
 
   void record(double seconds) { histogram_.record(seconds); }
-  std::uint64_t count() const { return histogram_.count(); }
-  double sum() const { return histogram_.sum(); }
   double mean() const { return histogram_.snapshot().mean(); }
-  /// Bucket-resolution quantile (upper bound of the bucket holding q).
-  double quantile(double q) const { return histogram_.snapshot().quantile(q); }
-  const obs::Histogram& histogram() const { return histogram_; }
 
  private:
   obs::Histogram histogram_;

@@ -14,7 +14,6 @@
 //   * a synthetic per-call-overhead point — 64 KiB service state, ~10% of
 //     chunks dirtied per call — isolating the shipping cost from the
 //     optimization workload.
-// Results land in BENCH_table1.json (schema in bench_common.hpp).
 #include "bench_common.hpp"
 
 #include "ft/checkpoint.hpp"
@@ -77,12 +76,8 @@ class DirtyBlobServant final : public corba::Servant,
 };
 
 struct SyntheticPoint {
-  double per_call_s = 0.0;          ///< virtual seconds per touch() call
-  double per_call_p50_s = 0.0;      ///< bucket-resolution median call latency
-  double per_call_p99_s = 0.0;      ///< bucket-resolution tail call latency
-  std::uint64_t checkpoints = 0;
+  double per_call_s = 0.0;  ///< virtual seconds per touch() call
   std::uint64_t bytes_shipped = 0;
-  std::uint64_t coalesced = 0;
 };
 
 /// Measures the per-call cost of `calls` touch() invocations through a
@@ -128,43 +123,26 @@ SyntheticPoint run_synthetic(std::optional<ft::CheckpointMode> mode,
   if (ft::CheckpointPipeline* pipeline = engine.checkpoint_pipeline())
     pipeline->flush();
 
-  // Per-call distribution rides along via the obs histogram; the headline
-  // per_call_s stays elapsed/calls (includes the final flush), unchanged.
-  LatencyRecorder latency("bench.synthetic.call_s");
+  // per_call_s is elapsed/calls, the final flush included.
   const double start = runtime.events().now();
-  for (int i = 0; i < calls; ++i) {
-    const double t0 = runtime.events().now();
-    engine.call("touch", {});
-    latency.record(runtime.events().now() - t0);
-  }
+  for (int i = 0; i < calls; ++i) engine.call("touch", {});
   if (ft::CheckpointPipeline* pipeline = engine.checkpoint_pipeline())
     pipeline->flush();
   const double elapsed = runtime.events().now() - start;
 
   SyntheticPoint point;
   point.per_call_s = elapsed / calls;
-  point.per_call_p50_s = latency.quantile(0.5);
-  point.per_call_p99_s = latency.quantile(0.99);
-  if (ft::CheckpointPipeline* pipeline = engine.checkpoint_pipeline()) {
-    point.checkpoints = pipeline->stored();
+  if (ft::CheckpointPipeline* pipeline = engine.checkpoint_pipeline())
     point.bytes_shipped = pipeline->bytes_shipped();
-    point.coalesced = pipeline->coalesced();
-  }
   return point;
 }
 
 }  // namespace
 
 int main() {
-  const bool smoke = smoke_mode();
-  std::vector<JsonRow> rows;
-
   // --- paper table: overhead vs per-call work (full-sync, as in §4) ---------
-  const std::vector<int> iteration_counts =
-      smoke ? std::vector<int>{10000}
-            : std::vector<int>{10000, 20000, 30000, 40000, 50000};
   Scenario scenario = scenario_100_7();
-  scenario.manager_iterations = smoke ? 3 : 6;
+  scenario.manager_iterations = 6;
 
   std::printf(
       "Table 1 — Runtimes for a 100-dimensional Rosenbrock function with 7 "
@@ -177,7 +155,7 @@ int main() {
   double worst_factor = 0.0;
   double previous_overhead = 1e300;
   bool monotone = true;
-  for (int iterations : iteration_counts) {
+  for (int iterations : {10000, 20000, 30000, 40000, 50000}) {
     RunSettings plain;
     plain.strategy = naming::ResolveStrategy::winner;
     plain.worker_iterations_override = iterations;
@@ -200,12 +178,6 @@ int main() {
     if (overhead > previous_overhead) monotone = false;
     previous_overhead = overhead;
 
-    rows.push_back({jstr("section", "paper_table"),
-                    jint("iterations", static_cast<std::uint64_t>(iterations)),
-                    jnum("runtime_plain_s", base.runtime),
-                    jnum("runtime_proxy_s", proxied.runtime),
-                    jnum("overhead_pct", overhead)});
-
     // Sanity: fault tolerance must not change the computation's result.
     if (proxied.best_value != base.best_value)
       std::printf("  WARNING: proxied result differs from plain result!\n");
@@ -221,7 +193,7 @@ int main() {
       monotone ? "yes" : "NO");
 
   // --- checkpoint-mode axis over the scenario -------------------------------
-  const int axis_iterations = smoke ? 10000 : 20000;
+  const int axis_iterations = 20000;
   RunSettings axis_plain;
   axis_plain.strategy = naming::ResolveStrategy::winner;
   axis_plain.worker_iterations_override = axis_iterations;
@@ -254,18 +226,12 @@ int main() {
     if (outcome.best_value != axis_base.best_value)
       std::printf("  WARNING: %s result differs from plain result!\n",
                   mode_name.c_str());
-    rows.push_back(
-        {jstr("section", "mode_axis"),
-         jint("iterations", static_cast<std::uint64_t>(axis_iterations)),
-         jstr("mode", mode_name), jnum("runtime_s", outcome.runtime),
-         jnum("overhead_pct", overhead),
-         jint("checkpoints", outcome.checkpoints)});
   }
 
   // --- synthetic per-call overhead: 64 KiB state, ~10% dirty ----------------
   const std::size_t state_bytes = 64 * 1024;
   const double dirty_fraction = 0.10;
-  const int calls = smoke ? 8 : 32;
+  const int calls = 32;
 
   const SyntheticPoint base_point =
       run_synthetic(std::nullopt, state_bytes, dirty_fraction, calls);
@@ -292,31 +258,14 @@ int main() {
     std::printf("%12s  %14.3f  %14.3f  %14llu\n", mode_name.c_str(),
                 point.per_call_s, overhead,
                 static_cast<unsigned long long>(point.bytes_shipped));
-    rows.push_back({jstr("section", "synthetic"),
-                    jint("state_bytes", state_bytes),
-                    jnum("dirty_fraction", dirty_fraction),
-                    jstr("mode", mode_name),
-                    jnum("per_call_s", point.per_call_s),
-                    jnum("per_call_p50_s", point.per_call_p50_s),
-                    jnum("per_call_p99_s", point.per_call_p99_s),
-                    jnum("per_call_overhead_s", overhead),
-                    jint("checkpoints", point.checkpoints),
-                    jint("bytes_shipped", point.bytes_shipped),
-                    jint("coalesced", point.coalesced)});
   }
 
   const double ratio = delta_async_overhead > 0.0
                            ? full_sync_overhead / delta_async_overhead
                            : 0.0;
-  rows.push_back({jstr("section", "synthetic_summary"),
-                  jnum("full_sync_overhead_s", full_sync_overhead),
-                  jnum("delta_async_overhead_s", delta_async_overhead),
-                  jnum("full_over_delta_async", ratio)});
   std::printf(
       "\ndelta-async per-call overhead is %.1fx lower than full-sync "
       "(target: >= 5x): %s\n",
       ratio, ratio >= 5.0 ? "ok" : "MISSED");
-
-  write_bench_json("BENCH_table1.json", "table1_proxy_overhead", rows);
   return 0;
 }

@@ -78,8 +78,7 @@ void CheckpointPipeline::note_acked(std::uint64_t version,
 void CheckpointPipeline::ship_now(std::uint64_t version, corba::Blob& state) {
   PipelineMetrics& metrics = pipeline_metrics();
   obs::Span span("checkpoint.store", config_.key);
-  const bool timed = span.active();
-  const double start = timed ? obs::now() : 0.0;
+  const double start = obs::now();
   if (config_.mode != CheckpointMode::full_sync && have_acked_) {
     const StateDelta delta =
         StateDelta::diff(acked_state_, state, config_.chunk_size);
@@ -99,7 +98,7 @@ void CheckpointPipeline::ship_now(std::uint64_t version, corba::Blob& state) {
         metrics.bytes_shipped.inc(encoded.size());
         obs::flight_event(obs::FlightEvent::checkpoint_ship, config_.key,
                           version, encoded.size());
-        if (timed) metrics.store_latency.record(obs::now() - start);
+        metrics.store_latency.record(obs::now() - start);
         return;
       } catch (const corba::BAD_PARAM&) {
         // The store's view of the base moved (wiped, replaced, another
@@ -124,7 +123,7 @@ void CheckpointPipeline::ship_now(std::uint64_t version, corba::Blob& state) {
   metrics.bytes_shipped.inc(size);
   obs::flight_event(obs::FlightEvent::checkpoint_ship, config_.key, version,
                     size);
-  if (timed) metrics.store_latency.record(obs::now() - start);
+  metrics.store_latency.record(obs::now() - start);
 }
 
 bool CheckpointPipeline::try_ship(std::uint64_t version, corba::Blob& state) {

@@ -1,5 +1,6 @@
 #include "obs/flight_recorder.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "obs/event_channel.hpp"
@@ -199,7 +200,10 @@ std::vector<FlightRecorder::Event> FlightRecorder::events() const {
   const std::uint64_t begin = end > capacity_ ? end - capacity_ : 0;
   std::vector<Event> out;
   out.reserve(static_cast<std::size_t>(end - begin));
-  for (std::uint64_t index = begin; index < end; ++index) {
+  // Newest-first: a concurrent writer overwrites the ring oldest-first, so
+  // walking in its direction lets a fast writer tear every slot before the
+  // reader reaches it; walking against it reads the newest events first.
+  for (std::uint64_t index = end; index-- > begin;) {
     const Slot& slot = slots_[index & mask_];
     if (slot.seq.load(std::memory_order_acquire) != index + 1) continue;
     Event event;
@@ -216,6 +220,7 @@ std::vector<FlightRecorder::Event> FlightRecorder::events() const {
     if (slot.seq.load(std::memory_order_acquire) != index + 1) continue;
     out.push_back(std::move(event));
   }
+  std::reverse(out.begin(), out.end());
   return out;
 }
 

@@ -10,8 +10,7 @@
 //
 //   * always on: record() is a relaxed fetch_add to claim a slot plus a
 //     handful of relaxed atomic stores — no locks, no allocation, no
-//     formatting.  Overhead sits well below the micro bench's latency
-//     bucket resolution (see bench/micro_orb.cpp's recorder on/off point).
+//     formatting (DESIGN.md §6.8 records its measured overhead).
 //   * fixed capacity: a power-of-two ring; old events are overwritten, and
 //     a per-slot sequence word (seqlock-per-slot) lets readers detect and
 //     skip slots torn by a concurrent writer.  Every slot field is an

@@ -173,32 +173,6 @@ std::string format_double(double v) {
   return buf;
 }
 
-// Metric names come from code today, but nothing enforces that (tests and
-// future dynamic registration can carry anything), and one hostile name must
-// not corrupt a whole export.  JSON strings escape per RFC 8259.
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string to_text(const MetricsSnapshot& snapshot) {
@@ -222,46 +196,6 @@ std::string to_text(const MetricsSnapshot& snapshot) {
     }
     out += '\n';
   }
-  return out;
-}
-
-std::string to_json(const MetricsSnapshot& snapshot) {
-  std::string out = "{\"schema_version\": 1, \"metrics\": [";
-  bool first = true;
-  for (const MetricEntry& e : snapshot.entries) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "  {\"name\": \"" + json_escape(e.name) + "\", ";
-    switch (e.kind) {
-      case MetricEntry::Kind::counter:
-        out += "\"kind\": \"counter\", \"value\": " +
-               std::to_string(e.counter_value) + "}";
-        break;
-      case MetricEntry::Kind::gauge:
-        out += "\"kind\": \"gauge\", \"value\": " +
-               format_double(e.gauge_value) + "}";
-        break;
-      case MetricEntry::Kind::histogram: {
-        out += "\"kind\": \"histogram\", \"count\": " +
-               std::to_string(e.histogram.count) +
-               ", \"sum\": " + format_double(e.histogram.sum) + ", \"bounds\": [";
-        for (std::size_t i = 0; i < e.histogram.bounds.size(); ++i) {
-          if (i > 0) out += ", ";
-          out += format_double(e.histogram.bounds[i]);
-        }
-        out += "], \"buckets\": [";
-        for (std::size_t i = 0; i < e.histogram.buckets.size(); ++i) {
-          if (i > 0) out += ", ";
-          out += std::to_string(e.histogram.buckets[i]);
-        }
-        out += "]}";
-        break;
-      }
-    }
-  }
-  // taken_at goes after the array so the schema prefix existing validators
-  // grep for ('"metrics": {"schema_version": 1, "metrics": [') is unchanged.
-  out += "\n], \"taken_at\": " + format_double(snapshot.taken_at) + "}";
   return out;
 }
 

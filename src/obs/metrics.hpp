@@ -8,9 +8,9 @@
 // at component start-up) and the per-event path is a single relaxed atomic
 // add on the handle — no map lookups, no allocation, no formatting.
 // Exporters are pull-based: snapshot() copies the current values under no
-// lock but with stable, name-sorted ordering, and to_text()/to_json()
-// render the snapshot; with no exporter installed nothing beyond the atomic
-// adds ever happens.
+// lock but with stable, name-sorted ordering, and to_text() renders the
+// snapshot; with no exporter installed nothing beyond the atomic adds ever
+// happens.
 //
 // Naming scheme (see DESIGN.md "Observability"): dotted lowercase
 // `<layer>.<metric>` with a unit suffix where one applies, e.g.
@@ -185,14 +185,5 @@ class MetricsRegistry {
 
 /// Human-readable exporter: one `name kind value` line per metric.
 std::string to_text(const MetricsSnapshot& snapshot);
-
-/// Machine-readable exporter.  Schema (validated by tools/run_benches.sh):
-///   {"schema_version": 1, "metrics": [
-///     {"name": "...", "kind": "counter", "value": N},
-///     {"name": "...", "kind": "gauge", "value": X},
-///     {"name": "...", "kind": "histogram", "count": N, "sum": X,
-///      "bounds": [...], "buckets": [...]}  // buckets has bounds+1 entries
-///   ], "taken_at": X}
-std::string to_json(const MetricsSnapshot& snapshot);
 
 }  // namespace obs

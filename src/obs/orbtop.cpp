@@ -5,6 +5,7 @@
 #include <exception>
 
 #include "naming/naming_stub.hpp"
+#include "obs/text_render.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_assembler.hpp"
 #include "obs/trace_export.hpp"
@@ -12,43 +13,6 @@
 namespace obs {
 
 namespace {
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Fixed-width cell, left-aligned, truncated with no ellipsis (a terminal
-/// table, not a report).
-std::string cell(std::string text, std::size_t width) {
-  if (text.size() > width) text.resize(width);
-  text.append(width - text.size() + 1, ' ');
-  return text;
-}
 
 std::string num_cell(double v, std::size_t width, const char* spec = "%.3g") {
   char buf[64];

@@ -210,8 +210,7 @@ Value ORB::invoke(const IOR& target, std::string_view op, ValueSeq args) {
   metrics.requests.inc();
   obs::Span span("rpc.client", req.operation);
   if (span.active()) attach_trace_context(req, span.context());
-  const bool timed = span.active();  // latency is sampled while tracing is on
-  const double start = timed ? obs::now() : 0.0;
+  const double start = obs::now();
   const std::uint64_t request_id = req.request_id;
   obs::flight_event(obs::FlightEvent::rpc_start, op, request_id);
   ReplyMessage reply;
@@ -221,7 +220,7 @@ Value ORB::invoke(const IOR& target, std::string_view op, ValueSeq args) {
     obs::flight_event(obs::FlightEvent::rpc_end, op, request_id, 1);
     throw;
   }
-  if (timed) metrics.latency.record(obs::now() - start);
+  metrics.latency.record(obs::now() - start);
   obs::flight_event(obs::FlightEvent::rpc_end, op, request_id,
                     reply.status == ReplyStatus::no_exception ? 0 : 1);
   return std::move(reply).result_or_throw();

@@ -146,6 +146,27 @@ TEST(JsonCheckerSelfTest, AcceptsValidRejectsBroken) {
   EXPECT_FALSE(JsonChecker::valid("[1 2]"));
 }
 
+// Node names and errors come off the wire, and one hostile string must not
+// corrupt the whole export: quotes, backslashes and control characters are
+// escaped per RFC 8259.
+TEST(OrbtopJsonTest, HostileNodeNameAndErrorAreEscaped) {
+  const std::string hostile = "bad\nname\\with\"quote\tand\x01";
+  obs::ClusterSnapshot snapshot;
+  obs::NodeStatus node;
+  node.name = hostile;
+  node.error = "refused: " + hostile;
+  snapshot.nodes.push_back(node);
+
+  const std::string json = obs::render_json(snapshot);
+  EXPECT_TRUE(JsonChecker::valid(json)) << json;
+  const std::string escaped = "bad\\nname\\\\with\\\"quote\\tand\\u0001";
+  EXPECT_NE(json.find("\"name\": \"" + escaped + "\""), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"error\": \"refused: " + escaped + "\""),
+            std::string::npos)
+      << json;
+}
+
 class EchoServant : public corba::Servant {
  public:
   std::string_view repo_id() const noexcept override {

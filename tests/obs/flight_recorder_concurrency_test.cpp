@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <mutex>
+#include <new>
 #include <span>
 #include <string>
 #include <thread>
@@ -16,6 +18,30 @@
 
 #include "obs/event_channel.hpp"
 #include "obs/metrics.hpp"
+
+// A writer that outpaces the reader, made deterministic: while armed, every
+// allocation on this thread records two events into `lap_target`.  events()
+// allocates once for its result and once per decoded subject longer than the
+// small-string buffer, so each slot it reads lets the "writer" advance two.
+thread_local obs::FlightRecorder* lap_target = nullptr;
+
+void* allocate(std::size_t size) {
+  if (obs::FlightRecorder* recorder = lap_target) {
+    lap_target = nullptr;  // record() does not allocate; guard regardless
+    for (int i = 0; i < 2; ++i)
+      recorder->record(obs::FlightEvent::rpc_start, "lapping-writer-event");
+    lap_target = recorder;
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new(std::size_t size) { return allocate(size); }
+void* operator new[](std::size_t size) { return allocate(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace obs {
 namespace {
@@ -77,6 +103,48 @@ TEST(FlightRecorderConcurrency, DumpingWhileWritersWrapStaysCoherent) {
   }
   stop.store(true);
   for (auto& t : writers) t.join();
+}
+
+TEST(FlightRecorderConcurrency, ReaderFindsEventsUnderAWriterThatOutpacesIt) {
+  // The writer overwrites the ring oldest-first.  A reader walking the same
+  // way meets only slots the writer has just torn and returns nothing; the
+  // newest-first walk reads the newest events before the writer gets there.
+  FlightRecorder recorder(64);
+  for (std::size_t i = 0; i < recorder.capacity(); ++i)
+    recorder.record(FlightEvent::rpc_start, "lapping-writer-event");
+  lap_target = &recorder;
+  const auto events = recorder.events();
+  lap_target = nullptr;
+
+  ASSERT_FALSE(events.empty());
+  EXPECT_LT(events.back().index, recorder.capacity());  // the pre-race ring
+  for (std::size_t i = 1; i < events.size(); ++i)
+    EXPECT_LT(events[i - 1].index, events[i].index);  // still oldest-first
+}
+
+TEST(FlightRecorderConcurrency, EventsRacingAWriterAreNeverEmpty) {
+  // Unless the writer laps the whole ring during the call (it advances by
+  // capacity - 1 or more), at least the newest complete slot at call start
+  // survives the read.
+  FlightRecorder recorder(64);
+  for (std::size_t i = 0; i < recorder.capacity(); ++i)
+    recorder.record(FlightEvent::rpc_start, "op");
+  std::atomic<bool> stop{false};
+  std::thread writer([&recorder, &stop] {
+    std::uint64_t i = 0;
+    while (!stop.load(std::memory_order_relaxed))
+      recorder.record(FlightEvent::rpc_start, "op", ++i);
+  });
+  for (int call = 0; call < 200; ++call) {
+    const std::uint64_t before = recorder.recorded();
+    const auto events = recorder.events();
+    const std::uint64_t advanced = recorder.recorded() - before;
+    if (advanced + 1 < recorder.capacity()) {
+      EXPECT_FALSE(events.empty()) << "writer advanced " << advanced;
+    }
+  }
+  stop.store(true);
+  writer.join();
 }
 
 TEST(FlightRecorderConcurrency, AutoDumpRacesWithWriters) {
