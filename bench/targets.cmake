@@ -19,12 +19,13 @@ corbaft_add_bench(ablation_recovery LIBS corbaft::opt)
 corbaft_add_bench(ablation_migration LIBS corbaft::opt)
 corbaft_add_bench(ablation_wan_metacomputing LIBS corbaft::opt)
 
-# Golden-output checks: the fast virtual-time ablations and the quickstart
-# and fault_tolerant_service examples print byte-stable output, so each run
-# is compared with its committed stdout (bench/golden/).  `ctest -L golden`
-# runs them; Table 1 and Fig. 3 are too slow to join.
-foreach(_golden ablation_checkpoint_frequency ablation_migration
-                ablation_wan_metacomputing quickstart fault_tolerant_service)
+# Golden-output checks: Table 1, the fast virtual-time ablations and the
+# quickstart and fault_tolerant_service examples print byte-stable output,
+# so each run is compared with its committed stdout (bench/golden/).
+# `ctest -L golden` runs them; Fig. 3 is too slow to join.
+foreach(_golden table1_proxy_overhead ablation_checkpoint_frequency
+                ablation_migration ablation_wan_metacomputing quickstart
+                fault_tolerant_service)
   add_test(NAME golden_${_golden}
            COMMAND ${CMAKE_COMMAND} -DBIN=$<TARGET_FILE:${_golden}>
                    -DGOLDEN=${CMAKE_CURRENT_LIST_DIR}/golden/${_golden}.txt

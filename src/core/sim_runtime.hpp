@@ -97,10 +97,10 @@ struct RuntimeOptions {
   /// With domains set, each site runs its own Winner system manager and the
   /// naming service consults a hierarchical MetaSystemManager; inter-domain
   /// messages pay the cluster's WAN network model.
-  std::map<std::string, std::string> host_domains;
+  std::map<std::string, std::string> host_domains{};
   /// Home site for hierarchical placement (required with host_domains; the
   /// infrastructure and the client live there).
-  std::string home_domain;
+  std::string home_domain{};
   /// Load-index penalty for placing work outside the home domain.
   double wan_remote_penalty = 1.0;
 

@@ -41,7 +41,7 @@ struct FaultDetectorOptions {
   /// Shared circuit breaker (may be null).  Every ping result is reported
   /// to it, which is how quarantined-but-still-bound instances earn the
   /// consecutive healthy probes that release them.
-  std::shared_ptr<OfferQuarantine> quarantine;
+  std::shared_ptr<OfferQuarantine> quarantine{};
 };
 
 /// A detected fault, passed to listeners.

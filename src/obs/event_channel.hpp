@@ -110,11 +110,11 @@ OverflowPolicy default_policy(Topic topic) noexcept;
 
 struct SubscribeOptions {
   /// Topics to receive; empty = all.
-  std::vector<Topic> topics;
+  std::vector<Topic> topics{};
   /// Per-subscriber queue bound (events).
   std::size_t queue_limit = 256;
   /// Overrides the per-topic default policy for every topic when set.
-  std::optional<OverflowPolicy> policy;
+  std::optional<OverflowPolicy> policy{};
   /// Minimum spacing between deliveries to this subscriber (seconds on the
   /// obs clock; 0 = deliver as soon as the executor runs).  A consumer that
   /// wants one batched update per second instead of an event storm sets 1.0
@@ -126,7 +126,7 @@ struct SubscribeOptions {
   /// consumer's stringified IOR, so one orbtop subscribing through every
   /// `_obs/<host>` servant of a shared-process (simulated) cluster still
   /// receives each event exactly once.
-  std::string consumer_id;
+  std::string consumer_id{};
 };
 
 /// Per-subscriber accounting, queryable for tests and tooling.

@@ -104,14 +104,14 @@ struct HealthReport {
 /// dependency on Winner, the quarantine or a dispatch pool being present.
 struct TelemetryOptions {
   std::string host;
-  std::function<double()> report_age;
-  std::function<double()> load_index;
-  std::function<std::uint64_t()> quarantined;
-  std::function<std::uint64_t()> dispatch_queue_depth;
+  std::function<double()> report_age{};
+  std::function<double()> load_index{};
+  std::function<std::uint64_t()> quarantined{};
+  std::function<std::uint64_t()> dispatch_queue_depth{};
   /// The node's ORB; the subscribe operation needs it to turn the wire
   /// consumer reference back into an invocable ObjectRef (install_telemetry
   /// fills this in).
-  std::weak_ptr<corba::ORB> orb;
+  std::weak_ptr<corba::ORB> orb{};
   /// When > 0, the servant runs a wall-clock MetricsDeltaPublisher at this
   /// epoch (seconds) for the node — the TCP-deployment producer.  Simulated
   /// runtimes leave this 0 and drive a virtual-clock publisher instead

@@ -65,21 +65,35 @@ struct BoxResult {
   bool converged = false;       ///< tolerance reached (never with tol = 0)
 };
 
-/// Resumable optimizer state: the complex, its values, and counters.
+/// Resumable optimizer state: the complex, its values, and counters.  The
+/// complex is flat and row-major: point p is
+/// points[p * dimension(), (p + 1) * dimension()).
 class BoxState {
  public:
-  bool initialized() const noexcept { return !points.empty(); }
+  bool initialized() const noexcept { return !values.empty(); }
+  /// Points in the complex.
+  std::size_t size() const noexcept { return values.size(); }
+  /// Coordinates per point (0 while uninitialized).
+  std::size_t dimension() const noexcept {
+    return values.empty() ? 0 : points.size() / values.size();
+  }
+  std::span<const double> point(std::size_t p) const noexcept {
+    const std::size_t n = dimension();
+    return {points.data() + p * n, n};
+  }
 
-  /// Serialization for checkpointing (versioned, CDR-based).  deserialize
-  /// takes a view so restore paths can parse directly out of a larger
-  /// message buffer without cutting out a Blob first.
+  /// Serialization for checkpointing (versioned, CDR-based): the point
+  /// count, then one f64 sequence per point.  deserialize takes a view so
+  /// restore paths can parse directly out of a larger message buffer
+  /// without cutting out a Blob first; it throws MARSHAL for a truncated
+  /// or ragged complex.
   corba::Blob serialize() const;
   static BoxState deserialize(std::span<const std::byte> blob);
 
   friend bool operator==(const BoxState&, const BoxState&) = default;
 
-  std::vector<std::vector<double>> points;
-  std::vector<double> values;
+  std::vector<double> points;  ///< size() x dimension(), row-major
+  std::vector<double> values;  ///< one per point
   std::int64_t total_evaluations = 0;
   int total_iterations = 0;
   std::uint64_t rng_state = 0;  ///< replacement seed for the next run
@@ -87,8 +101,14 @@ class BoxState {
 
 /// Runs (or resumes) the Complex Box algorithm for options.max_iterations
 /// iterations.  When `state` is supplied and initialized, the complex is
-/// resumed from it; on return it holds the updated complex.  Throws
-/// std::invalid_argument for inconsistent bounds/options.
+/// resumed from it and updated in place (so an objective that throws leaves
+/// it part-way through an iteration).  Throws std::invalid_argument for
+/// inconsistent bounds/options, or for a resumed complex that is not at
+/// least n+1 points of n coordinates each.
+///
+/// The kernel is bit-exact by contract: every floating-point operation, and
+/// its order, is fixed, because rounding steers the search and with it every
+/// virtual time the simulator reports.
 BoxResult complex_box(const Objective& objective,
                       std::span<const double> lower,
                       std::span<const double> upper, const BoxOptions& options,

@@ -18,7 +18,9 @@ std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
 
 OptWorkerServant::OptWorkerServant(WorkerProblem problem)
     : problem_(problem),
-      decomposition_(Decomposition::make(problem.dimension, problem.blocks)) {}
+      decomposition_(Decomposition::make(problem.dimension, problem.blocks)),
+      lower_(static_cast<std::size_t>(problem.dimension), problem.lower),
+      upper_(static_cast<std::size_t>(problem.dimension), problem.upper) {}
 
 SolveOutcome OptWorkerServant::solve(int block_index,
                                      std::span<const double> coupling,
@@ -46,8 +48,8 @@ SolveOutcome OptWorkerServant::solve(int block_index,
   if (state.initialized()) {
     // Warm start: the coupling values (and hence the objective) moved since
     // the complex was stored, so every retained point must be re-valued.
-    for (std::size_t p = 0; p < state.points.size(); ++p) {
-      state.values[p] = objective(state.points[p]);
+    for (std::size_t p = 0; p < state.size(); ++p) {
+      state.values[p] = objective(state.point(p));
       ++extra_evaluations;
     }
   }
@@ -56,9 +58,9 @@ SolveOutcome OptWorkerServant::solve(int block_index,
   options.max_iterations = iterations;
   options.seed = mix_seed(problem_.seed, static_cast<std::uint64_t>(block_index),
                           static_cast<std::uint64_t>(calls_));
-  const std::vector<double> lower(dim, problem_.lower);
-  const std::vector<double> upper(dim, problem_.upper);
-  const BoxResult result = complex_box(objective, lower, upper, options, &state);
+  const BoxResult result =
+      complex_box(objective, std::span(lower_).first(dim),
+                  std::span(upper_).first(dim), options, &state);
 
   ++calls_;
   return SolveOutcome{result.best_value, result.evaluations + extra_evaluations};

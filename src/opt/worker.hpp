@@ -77,6 +77,10 @@ class OptWorkerServant final : public corba::Servant,
  private:
   WorkerProblem problem_;
   Decomposition decomposition_;
+  /// Box bounds over the full dimension, built once; each solve() passes
+  /// the prefix its block needs.
+  std::vector<double> lower_;
+  std::vector<double> upper_;
   mutable std::mutex mu_;
   std::map<int, BoxState> block_states_;
   /// Per-call coupling snapshot, reused across solve() calls (guarded by

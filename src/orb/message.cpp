@@ -367,7 +367,7 @@ std::vector<std::byte> encode_frame(MessageType type,
   const auto head = header.encode();
   std::vector<std::byte> frame;
   frame.reserve(head.size() + body.size());
-  frame.insert(frame.end(), head.begin(), head.end());
+  frame.assign(head.begin(), head.end());
   frame.insert(frame.end(), body.buffer().begin(), body.buffer().end());
   return frame;
 }

@@ -78,12 +78,12 @@ struct OrbConfig {
 
   /// Virtual network this ORB attaches to.  Required unless a transport
   /// override is supplied and no in-process endpoint is wanted.
-  std::shared_ptr<InProcessNetwork> network;
+  std::shared_ptr<InProcessNetwork> network{};
 
   /// When set, requests are routed through this transport regardless of the
   /// target protocol.  Used by the simulator to interpose virtual time and
   /// failures.
-  std::shared_ptr<ClientTransport> client_transport_override;
+  std::shared_ptr<ClientTransport> client_transport_override{};
 
   /// Adapter id embedded in minted object keys.  0 draws from a
   /// process-global counter (always unique); the simulator assigns

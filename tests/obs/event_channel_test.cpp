@@ -233,8 +233,8 @@ TEST_F(EventChannelTest, CoalesceReplacesSameKeyAndFallsBackToDrop) {
 struct ModelQueue {
   std::size_t limit = 4;
   OverflowPolicy policy = OverflowPolicy::drop_oldest;
-  std::deque<Event> queue;
-  std::vector<Event> delivered;
+  std::deque<Event> queue{};
+  std::vector<Event> delivered{};
   std::uint64_t dropped = 0, coalesced = 0;
 
   void push(const Event& event) {

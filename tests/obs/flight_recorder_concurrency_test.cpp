@@ -163,7 +163,9 @@ TEST(FlightRecorderConcurrency, AutoDumpRacesWithWriters) {
         for (const Event& event : batch) {
           EXPECT_EQ(event.key, "rpc_start");
           for (const EventField& field : event.fields) {
-            if (field.name == "subject") EXPECT_EQ(field.str, "op");
+            if (field.name == "subject") {
+              EXPECT_EQ(field.str, "op");
+            }
             if (field.name == "reason" && field.str == "quiet") ++quiet;
           }
         }

@@ -1,11 +1,12 @@
 // Unit tests for the Complex Box optimizer: convergence on standard
-// problems, constraint handling, determinism, resumable state, and
-// serialization.
+// problems, constraint handling, determinism, resumable state,
+// serialization, and bit-exact pins of the kernel's output.
 #include "opt/complex_box.hpp"
 
 #include <gtest/gtest.h>
 
 #include "opt/rosenbrock.hpp"
+#include "orb/cdr.hpp"
 
 namespace opt {
 namespace {
@@ -154,6 +155,45 @@ TEST(ComplexBox, StateSerializationRoundTrips) {
 TEST(ComplexBox, CorruptStateRejected) {
   corba::Blob garbage{std::byte{9}, std::byte{9}};
   EXPECT_THROW(BoxState::deserialize(garbage), corba::MARSHAL);
+
+  // 12 bytes announcing 2^32-1 points: rejected before any allocation.
+  corba::CdrOutputStream huge;
+  huge.write_u32(1);
+  huge.write_u32(0xFFFFFFFFu);
+  huge.write_u32(0);
+  EXPECT_THROW(BoxState::deserialize(huge.take_buffer()), corba::MARSHAL);
+
+  // Points of unequal length would let the kernel index past a short one.
+  corba::CdrOutputStream ragged;
+  ragged.write_u32(1);
+  ragged.write_u32(3);
+  ragged.write_f64_seq(std::vector<double>{1.0, 2.0});
+  ragged.write_f64_seq(std::vector<double>{3.0});
+  ragged.write_f64_seq(std::vector<double>{4.0, 5.0});
+  ragged.write_f64_seq(std::vector<double>{1.0, 2.0, 3.0});
+  ragged.write_i64(0);
+  ragged.write_i32(0);
+  ragged.write_u64(0);
+  EXPECT_THROW(BoxState::deserialize(ragged.take_buffer()), corba::MARSHAL);
+}
+
+TEST(ComplexBox, ResumedStateMustFitTheSearchSpace) {
+  const std::vector<double> lower(2, -1.0);
+  const std::vector<double> upper(2, 1.0);
+  BoxOptions options;
+  options.max_iterations = 5;
+
+  BoxState too_few;  // two points of dimension 2: fewer than n+1
+  too_few.points = {0.1, 0.2, 0.3, 0.4};
+  too_few.values = {1.0, 2.0};
+  EXPECT_THROW(complex_box(sphere, lower, upper, options, &too_few),
+               std::invalid_argument);
+
+  BoxState too_wide;  // three points of dimension 3
+  too_wide.points = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
+  too_wide.values = {1.0, 2.0, 3.0};
+  EXPECT_THROW(complex_box(sphere, lower, upper, options, &too_wide),
+               std::invalid_argument);
 }
 
 TEST(ComplexBox, InvalidArgumentsRejected) {
@@ -186,6 +226,129 @@ TEST(ComplexBox, ZeroIterationBudgetJustInitializes) {
   EXPECT_EQ(result.iterations, 0);
   EXPECT_EQ(result.evaluations, 4);  // complex size 2n
   EXPECT_TRUE(state.initialized());
+}
+
+// --- bit-exact pins ----------------------------------------------------------
+// Rounding steers the search, and with it every virtual time the simulator
+// reports, so the kernel must reproduce these runs to the last bit.  The
+// values were captured from the nested-vector kernel this flat one replaced;
+// a change that reorders or fuses any floating-point operation fails here.
+// Dimensions 13, 14 and 15 leave every remainder of the centroid's
+// four-wide blocking; the last two runs (one contraction, loose collapse
+// threshold) perform 25-50 collapse restarts and 120-2,417 Guin pulls.
+
+std::uint64_t fnv1a(std::span<const std::byte> bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (std::byte b : bytes) {
+    hash ^= static_cast<std::uint64_t>(b);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+struct PinnedRun {
+  int n;
+  int complex_size;  ///< 0 = the default 2n
+  int iterations;    ///< per call
+  std::uint64_t seed;
+  int max_contractions;
+  bool resumed;  ///< a second call resumes from the serialized state
+  double best_value;
+  double best_first;
+  double best_last;
+  std::int64_t evaluations;  ///< of the last call
+  std::size_t state_bytes;
+  std::uint64_t state_fnv1a;
+};
+
+constexpr PinnedRun kPinnedRuns[] = {
+    {2, 0, 400, 13, 6, false,
+     0x1.dc631aa59cc5bp-40, 0x1.00000fb9cc724p+0, 0x1.00001df021095p+0,
+     743, 168, 0x74e3638694c580e3ull},
+    {2, 3, 400, 103, 6, false,
+     0x1.60d74c81f75b2p-36, 0x1.000042d6e9e9p+0, 0x1.0000891c83e69p+0,
+     692, 136, 0x5bee3378aaf01160ull},
+    {2, 0, 200, 203, 6, true,
+     0x1.9cb13612c7643p-37, 0x1.ffffecbc0599dp-1, 0x1.ffffe4cc4fdd7p-1,
+     352, 168, 0x531f8fa3303c8c6bull},
+    {13, 0, 400, 24, 6, false,
+     0x1.6dd40c1deb524p+6, 0x1.a710815411308p-2, 0x1.87e46f3faf721p+0,
+     683, 3160, 0x100af0a583b90dcbull},
+    {13, 14, 400, 114, 6, false,
+     0x1.7e01b15c1c295p+6, 0x1.c394e45a63e4dp-1, 0x1.1fbd8dc946b55p+1,
+     658, 1720, 0xc5dc946cec9515e1ull},
+    {13, 0, 200, 214, 6, true,
+     0x1.c462df9271297p+5, 0x1.bbf43c117cp-8, 0x1.df8a23a9072c1p-6,
+     320, 3160, 0xac4d6ee90cd3c96full},
+    {14, 0, 400, 25, 6, false,
+     0x1.30e127566f224p+6, 0x1.658cc634ac10cp-3, 0x1.45e4abe7e18d8p+0,
+     724, 3624, 0x2a4a9490024eac80ull},
+    {14, 15, 400, 115, 6, false,
+     0x1.0e45d55107ff8p+9, -0x1.9bbfce4fdebd2p-5, 0x1.ca2f32bfdb2aap+1,
+     638, 1960, 0x7433756cde39b883ull},
+    {14, 0, 200, 215, 6, true,
+     0x1.e18fbc99efb92p+4, -0x1.1fc4a5e528e56p-1, 0x1.5203df050fbfbp-4,
+     327, 3624, 0xf76546cb51edb82dull},
+    {15, 0, 400, 26, 6, false,
+     0x1.126f1d5b5c7a9p+6, 0x1.341837f6f3d8cp-1, 0x1.d9bc9e373cp-2,
+     705, 4120, 0x6419715186c511c9ull},
+    {15, 16, 400, 116, 6, false,
+     0x1.f06d8585c3576p+8, 0x1.0010b35f94d33p+0, -0x1.7957857f1c362p+0,
+     638, 2216, 0x158a5bd4554711cfull},
+    {15, 0, 200, 216, 6, true,
+     0x1.62c0b3dd5f26ep+7, -0x1.af54a1fd007adp-1, 0x1.5e918c53eea3ap+0,
+     341, 4120, 0x599898376996f0aeull},
+    {30, 0, 400, 41, 6, false,
+     0x1.92d3746b7b167p+9, -0x1.8e41222b73ab1p-3, 0x1.b42d26623a60ap+0,
+     771, 15400, 0x06f5b59f9c0a3de0ull},
+    {30, 31, 400, 131, 6, false,
+     0x1.be79c94d3f713p+8, 0x1.38259fa0e9ce7p-1, 0x1.64ddac133d68cp-2,
+     709, 7976, 0xc86ab92aebd3e6bbull},
+    {30, 0, 200, 231, 6, true,
+     0x1.0686b82b63e7dp+10, 0x1.33aee1967c4b8p+0, 0x1.36b6a4519fb1dp+0,
+     334, 15400, 0x997c58a5c60dc79bull},
+    {2, 0, 3000, 5, 1, false,
+     0x1.51d4aa3750c2p-59, 0x1.fffffffba55f7p-1, 0x1.fffffff8843c8p-1,
+     8113, 168, 0xca98ff32d136551full},
+    {2, 3, 3000, 9, 1, true,
+     0x1.6751ee698a64fp-52, 0x1.fffffff60f645p-1, 0x1.fffffffb40921p-1,
+     3256, 136, 0xefef00c674392e8cull},
+};
+
+TEST(ComplexBox, BitExactAgainstPinnedRuns) {
+  const Objective objective = [](std::span<const double> x) {
+    return rosenbrock(x);
+  };
+  for (const PinnedRun& pin : kPinnedRuns) {
+    SCOPED_TRACE("n=" + std::to_string(pin.n) +
+                 " size=" + std::to_string(pin.complex_size) +
+                 " seed=" + std::to_string(pin.seed));
+    std::vector<double> lower(pin.n), upper(pin.n);
+    for (int i = 0; i < pin.n; ++i) {
+      lower[i] = -2.0 - 0.25 * (i % 3);
+      upper[i] = 3.0 + 0.5 * (i % 5);
+    }
+    BoxOptions options;
+    options.max_iterations = pin.iterations;
+    options.seed = pin.seed;
+    options.complex_size = pin.complex_size;
+    options.max_contractions = pin.max_contractions;
+    if (pin.max_contractions == 1) options.collapse_threshold = 1e-6;
+
+    BoxState state;
+    BoxResult result = complex_box(objective, lower, upper, options, &state);
+    if (pin.resumed) {
+      state = BoxState::deserialize(state.serialize());
+      result = complex_box(objective, lower, upper, options, &state);
+    }
+    EXPECT_EQ(result.best_value, pin.best_value);
+    EXPECT_EQ(result.best.front(), pin.best_first);
+    EXPECT_EQ(result.best.back(), pin.best_last);
+    EXPECT_EQ(result.evaluations, pin.evaluations);
+    const corba::Blob blob = state.serialize();
+    EXPECT_EQ(blob.size(), pin.state_bytes);
+    EXPECT_EQ(fnv1a(blob), pin.state_fnv1a);
+  }
 }
 
 }  // namespace

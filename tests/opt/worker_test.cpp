@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "orb/cdr.hpp"
 #include "orb/orb.hpp"
 #include "sim/work_meter.hpp"
 
@@ -139,6 +140,78 @@ TEST_F(WorkerTest, DeterministicAcrossIdenticallyConfiguredWorkers) {
   const SolveOutcome b = other->solve(1, coupling, 400);
   EXPECT_EQ(a.best_value, b.best_value);
   EXPECT_EQ(a.evaluations, b.evaluations);
+}
+
+// get_state after a fixed call sequence, captured byte for byte from the
+// nested-vector kernel that the flat one replaced: checkpoints written
+// before and after the change stay interchangeable.
+TEST(WorkerCheckpoint, StateBytesMatchPinnedCheckpoint) {
+  constexpr std::string_view kPinned =
+    "0100000000000000070000000000000003000000000000001801000001000000"
+    "0600000003000000000000000c67e1d406e2d63ff09ba8b7140d70bfe4062c4b"
+    "22b9e7bf0300000000000000e9b6eca97d30d73f8046c8a43d564fbf3dfc7368"
+    "9bb7e7bf03000000000000009f96d27fdfe6d63f7d2defc813266dbf169057b0"
+    "03b5e7bf0300000000000000a117bebc6e91d63f3ba604cd5bdb78bf40187505"
+    "78a6e7bf030000000000000075e7a62597c4d63f6ae97ba8354178bf6bd3b5c2"
+    "24cde7bf0300000000000000e6b35947c6d0d63f320fd50b14d76cbfce68811f"
+    "08a2e7bf060000000000000010f934497edc56401edc386d8adc564046489eb1"
+    "84dc564012bad39bdddc56408f32ca7698dc5640dcd477b3bedc564098010000"
+    "00000000d200000000000000d992e21cf170653401000000a800000001000000"
+    "0400000002000000000000004888336e9b0ded3fc48d7b39fd15ec3f02000000"
+    "000000004ef354dad20ced3f3c41be582a15ec3f0200000000000000a8950988"
+    "570ded3f17a405811015ec3f020000000000000016a14401a40ded3f30da93a8"
+    "0316ec3f0400000000000000c1e72f106cd7f53ff7add5ed6dd7f53fdaf93b52"
+    "6ed7f53fc874352b6cd7f53fda0000000000000082000000000000006b9e8281"
+    "0f24534f02000000a8000000010000000400000002000000000000008a3bcef8"
+    "f622e23fa27bcd5ded8ed43f0200000000000000269f3e893a23e23fcffaebbc"
+    "568fd43f0200000000000000a2a25f4e6723e23f788c69e5ab90d43f02000000"
+    "000000006cce2f041b23e23f0c26869f758ed43f04000000000000000e6d020a"
+    "f520d03f7191ded2f320d03f0673a026f420d03f78b8534ff520d03ff8000000"
+    "000000009600000000000000e6c3e4fe1a81a633";
+  WorkerProblem problem;
+  problem.dimension = 9;
+  problem.blocks = 3;
+  problem.seed = 17;
+  OptWorkerServant servant(problem);
+  for (int call = 0; call < 7; ++call) {
+    const std::vector<double> coupling = {0.5 + 0.1 * call, 1.0 - 0.05 * call};
+    servant.solve(call % 3, coupling, 40 + 10 * call);
+  }
+  const corba::Blob blob = servant.get_state();
+  std::string hex;
+  for (std::byte b : blob) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[static_cast<unsigned>(b) >> 4];
+    hex += kDigits[static_cast<unsigned>(b) & 0xF];
+  }
+  EXPECT_EQ(hex, kPinned);
+
+  OptWorkerServant restored(problem);
+  restored.set_state(blob);
+  EXPECT_EQ(restored.get_state(), blob);
+}
+
+TEST(WorkerCheckpoint, RaggedBlockStateRejected) {
+  // A block state whose points differ in length must not reach the kernel.
+  corba::CdrOutputStream box;
+  box.write_u32(1);
+  box.write_u32(2);
+  box.write_f64_seq(std::vector<double>{1.0, 2.0, 3.0});
+  box.write_f64_seq(std::vector<double>{4.0});
+  box.write_f64_seq(std::vector<double>{1.0, 2.0});
+  box.write_i64(0);
+  box.write_i32(0);
+  box.write_u64(0);
+  const corba::Blob box_blob = box.take_buffer();
+
+  corba::CdrOutputStream out;
+  out.write_u32(1);
+  out.write_i64(0);
+  out.write_u32(1);
+  out.write_i32(0);
+  out.write_blob(std::span<const std::byte>(box_blob));
+  OptWorkerServant servant(paper_problem());
+  EXPECT_THROW(servant.set_state(out.take_buffer()), corba::MARSHAL);
 }
 
 }  // namespace
