@@ -1,8 +1,11 @@
 #include "opt/complex_box.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "orb/cdr.hpp"
 
@@ -10,46 +13,84 @@ namespace opt {
 
 namespace {
 
-std::size_t worst_index(const std::vector<double>& values) {
-  return static_cast<std::size_t>(
-      std::max_element(values.begin(), values.end()) - values.begin());
+struct Extremes {
+  std::size_t worst = 0;
+  std::size_t best = 0;
+};
+
+/// Indices of the worst (largest) and best (smallest) value in one pass,
+/// under std::max_element's and std::min_element's rules: the first index
+/// no later value exceeds, and the first no later value undercuts.  A NaN
+/// never wins a comparison, so one at index 0 stays both.  The `else` is
+/// exact: lo <= hi whenever either comparison can hold.
+Extremes extremes(const std::vector<double>& values) {
+  Extremes e;
+  double hi = values[0];
+  double lo = values[0];
+  for (std::size_t p = 1; p < values.size(); ++p) {
+    const double v = values[p];
+    if (hi < v) {
+      hi = v;
+      e.worst = p;
+    } else if (v < lo) {
+      lo = v;
+      e.best = p;
+    }
+  }
+  return e;
 }
 
-std::size_t best_index(const std::vector<double>& values) {
-  return static_cast<std::size_t>(
-      std::min_element(values.begin(), values.end()) - values.begin());
+/// Two doubles in one SSE2 register; + and * act lane by lane with the
+/// rounding of the scalar operations.  Pairs move through memcpy because
+/// rows are not 16-byte aligned when n is odd.
+using f64x2 = double __attribute__((vector_size(16)));
+
+f64x2 load_pair(const double* x) {
+  f64x2 v;
+  std::memcpy(&v, x, sizeof v);
+  return v;
 }
+
+void store_pair(double* x, f64x2 v) { std::memcpy(x, &v, sizeof v); }
+
+/// Sums columns [0, W) of the k rows (stride n) at `points`, leaving out row
+/// `skip`, and stores each sum times `scale`.  Column pairs accumulate in
+/// two-lane registers (the pack expansion unrolls them, so none lives on the
+/// stack), an odd last column in a scalar; each column is still summed from
+/// 0.0 over the rows in ascending order.
+template <std::size_t W>
+void centroid_columns(const double* points, std::size_t k, std::size_t n,
+                      std::size_t skip, double scale, double* centroid) {
+  [&]<std::size_t... J>(std::index_sequence<J...>) {
+    [[maybe_unused]] std::array<f64x2, W / 2> pairs{};
+    double odd = 0.0;
+    for (std::size_t p = 0; p < k; ++p) {
+      if (p == skip) continue;
+      const double* x = points + p * n;
+      ((pairs[J] += load_pair(x + 2 * J)), ...);
+      if constexpr (W % 2 != 0) odd += x[W - 1];
+    }
+    (store_pair(centroid + 2 * J, pairs[J] * scale), ...);
+    if constexpr (W % 2 != 0) centroid[W - 1] = odd * scale;
+  }(std::make_index_sequence<W / 2>{});
+}
+
+constexpr std::size_t kCentroidBlock = 16;
+
+/// centroid_columns<w> for w = 1 .. kCentroidBlock, at index w - 1.
+constexpr auto kCentroidColumns = []<std::size_t... W>(
+                                      std::index_sequence<W...>) {
+  return std::array{&centroid_columns<W + 1>...};
+}(std::make_index_sequence<kCentroidBlock>{});
 
 /// Centroid of the k points of the row-major k×n `points`, leaving out
-/// `skip`.  Four coordinates are summed at a time in local accumulators
-/// (registers, not a store and reload per point); each coordinate is still
-/// summed from 0.0 over the points in ascending order, so the rounding is
-/// that of the one-coordinate-at-a-time loop.
+/// `skip`, one pass over the points per block of up to 16 columns.
 void centroid_without(const double* points, std::size_t k, std::size_t n,
                       std::size_t skip, double* centroid) {
   const double scale = 1.0 / static_cast<double>(k - 1);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    double c0 = 0.0, c1 = 0.0, c2 = 0.0, c3 = 0.0;
-    for (std::size_t p = 0; p < k; ++p) {
-      if (p == skip) continue;
-      const double* x = points + p * n + i;
-      c0 += x[0];
-      c1 += x[1];
-      c2 += x[2];
-      c3 += x[3];
-    }
-    centroid[i] = c0 * scale;
-    centroid[i + 1] = c1 * scale;
-    centroid[i + 2] = c2 * scale;
-    centroid[i + 3] = c3 * scale;
-  }
-  for (; i < n; ++i) {
-    double c = 0.0;
-    for (std::size_t p = 0; p < k; ++p)
-      if (p != skip) c += points[p * n + i];
-    centroid[i] = c * scale;
-  }
+  for (std::size_t i = 0; i < n; i += kCentroidBlock)
+    kCentroidColumns[std::min(n - i, kCentroidBlock) - 1](
+        points + i, k, n, skip, scale, centroid + i);
 }
 
 }  // namespace
@@ -165,8 +206,7 @@ BoxResult complex_box(const Objective& objective,
   double restart_radius = options.restart_radius;
   int restarts = 0;
   for (int iteration = 0; iteration < options.max_iterations; ++iteration) {
-    const std::size_t worst = worst_index(values);
-    const std::size_t best = best_index(values);
+    const auto [worst, best] = extremes(values);
     if (options.tolerance > 0 &&
         values[worst] - values[best] <= options.tolerance) {
       result.converged = true;
@@ -220,8 +260,8 @@ BoxResult complex_box(const Objective& objective,
       // Guin's modification: the centroid of a curved valley can be worse
       // than every complex point, so pull the candidate toward the best
       // point instead — continuity guarantees an improvement eventually.
-      const std::size_t best_now = best_index(values);
-      const double* target = row(best_now);
+      // Nothing has written `values` since the scan, so `best` is current.
+      const double* target = row(best);
       int pulls = 0;
       while (candidate_value > values[worst] &&
              pulls < options.max_contractions) {
@@ -233,14 +273,14 @@ BoxResult complex_box(const Objective& objective,
       if (candidate_value > values[worst]) {
         // Numerical corner (flat region): land on the best point itself.
         std::copy(target, target + n, candidate.begin());
-        candidate_value = values[best_now];
+        candidate_value = values[best];
       }
     }
     std::copy(candidate.begin(), candidate.end(), row(worst));
     values[worst] = candidate_value;
   }
 
-  const std::size_t best = best_index(values);
+  const std::size_t best = extremes(values).best;
   result.best.assign(row(best), row(best) + n);
   result.best_value = values[best];
 

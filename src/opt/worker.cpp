@@ -107,9 +107,21 @@ void OptWorkerServant::set_state(const corba::Blob& blob) {
   std::map<int, BoxState> states;
   for (std::uint32_t i = 0; i < count; ++i) {
     const int block = in.read_i32();
+    if (block < 0 || block >= decomposition_.block_count())
+      throw corba::MARSHAL("worker state names block " +
+                           std::to_string(block) + " out of range");
     // View read: each BoxState parses straight out of the message buffer
     // instead of being copied into an intermediate Blob first.
-    states[block] = BoxState::deserialize(in.read_blob_view());
+    BoxState state = BoxState::deserialize(in.read_blob_view());
+    // The kernel would refuse this complex on the next solve, long after
+    // the checkpoint that carried it was accepted.
+    const std::size_t dim =
+        static_cast<std::size_t>(decomposition_.block(block).dimension);
+    if (state.initialized() &&
+        (state.dimension() != dim || state.size() < dim + 1))
+      throw corba::MARSHAL("worker state for block " + std::to_string(block) +
+                           " is not n+1 or more points of its dimension");
+    states[block] = std::move(state);
   }
   std::lock_guard lock(mu_);
   calls_ = calls;

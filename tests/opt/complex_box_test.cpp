@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+
 #include "opt/rosenbrock.hpp"
 #include "orb/cdr.hpp"
 
@@ -346,6 +350,117 @@ TEST(ComplexBox, BitExactAgainstPinnedRuns) {
     EXPECT_EQ(result.best.back(), pin.best_last);
     EXPECT_EQ(result.evaluations, pin.evaluations);
     const corba::Blob blob = state.serialize();
+    EXPECT_EQ(blob.size(), pin.state_bytes);
+    EXPECT_EQ(fnv1a(blob), pin.state_fnv1a);
+  }
+}
+
+// Pins for the centroid's column blocking and the worst/best scan: n = 3
+// (an odd tail), 16 (one full block), 17 (a block and one column) and 33
+// (two blocks and one column), each on Rosenbrock, on its floor (a plateau
+// objective, so tied values are common) and on Rosenbrock with a NaN region
+// (so the scan meets unordered values).  The worst is the first index no
+// later value exceeds and the best the first index no later value undercuts,
+// as std::max_element / std::min_element define them.  Captured from the
+// four-wide scalar-centroid kernel.
+
+double plateau(std::span<const double> x) { return std::floor(rosenbrock(x)); }
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+double nan_region(std::span<const double> x) {
+  return x[0] > 1.5 ? kNaN : rosenbrock(x);
+}
+
+struct EdgePinnedRun {
+  int n;
+  double (*objective)(std::span<const double>);
+  std::uint64_t seed;
+  int max_contractions;
+  bool resumed;  ///< a second call resumes from the serialized state
+  double best_value;
+  std::int64_t evaluations;  ///< of the last call
+  std::size_t state_bytes;
+  std::uint64_t state_fnv1a;
+};
+
+constexpr EdgePinnedRun kEdgePinnedRuns[] = {
+    {3, rosenbrock, 301, 6, false,
+     0x1.d10600a74d2a8p-11, 332, 280, 0x4811c7722b8c7e12ull},
+    {3, rosenbrock, 302, 1, true,
+     0x1.9cad9fa483748p-17, 327, 280, 0x2a38eb96cffd8684ull},
+    {3, plateau, 303, 6, false,
+     0x1.8p+1, 341, 280, 0x90efe662b9accfc4ull},
+    {3, plateau, 304, 1, true,
+     0x0p+0, 276, 280, 0xbf34626db2eee36full},
+    {3, nan_region, 305, 6, false,
+     kNaN, 206, 280, 0xec16e451ab8c5b6aull},
+    {3, nan_region, 306, 1, true,
+     0x1.e90cd89cd76e9p+2, 200, 280, 0x50251325487334b5ull},
+    {16, rosenbrock, 307, 6, false,
+     0x1.a97bae0afe82bp+7, 382, 4648, 0x4f6c6d0dd5282b5eull},
+    {16, rosenbrock, 308, 1, true,
+     0x1.1b729fcc5831ep+7, 328, 4648, 0x816bd7ae1f4000ceull},
+    {16, plateau, 309, 6, false,
+     0x1.7cp+7, 376, 4648, 0x8b947b560b4755f1ull},
+    {16, plateau, 310, 1, true,
+     0x1.24p+7, 347, 4648, 0xe91fc63ed269491full},
+    {16, nan_region, 311, 6, false,
+     0x1.57e04e85d3045p+12, 234, 4648, 0xf12bae1d634a71f2ull},
+    {16, nan_region, 312, 1, true,
+     kNaN, 200, 4648, 0x59a20383e1834c20ull},
+    {17, rosenbrock, 313, 6, false,
+     0x1.01c9caaa3208dp+8, 382, 5208, 0x73346f4eda00fc2dull},
+    {17, rosenbrock, 314, 1, true,
+     0x1.4ff2ec975d84fp+6, 334, 5208, 0x986556b827f61831ull},
+    {17, plateau, 315, 6, false,
+     0x1.42p+8, 382, 5208, 0x7a0ada20da97dd82ull},
+    {17, plateau, 316, 1, true,
+     0x1.34p+7, 338, 5208, 0x44c5787255122caaull},
+    {17, nan_region, 317, 6, false,
+     0x1.6553f8d6f4c9bp+13, 238, 5208, 0x2279712dd67ee75bull},
+    {17, nan_region, 318, 1, true,
+     kNaN, 200, 5208, 0x76b674be3ff6122cull},
+    {33, rosenbrock, 319, 6, false,
+     0x1.5b6269d455fd5p+11, 440, 18520, 0xb663692ced0a82ffull},
+    {33, rosenbrock, 320, 1, true,
+     0x1.688878d908f0cp+9, 353, 18520, 0x53375bd6766a7e07ull},
+    {33, plateau, 321, 6, false,
+     0x1.8bep+11, 425, 18520, 0x37bf7f03009d0fd2ull},
+    {33, plateau, 322, 1, true,
+     0x1.c68p+9, 341, 18520, 0x1c5f50560c5665e4ull},
+    {33, nan_region, 323, 6, false,
+     kNaN, 273, 18520, 0x67c98bc0962dc29bull},
+    {33, nan_region, 324, 1, true,
+     kNaN, 200, 18520, 0xac440e40a2945692ull},
+};
+
+TEST(ComplexBox, BitExactOnBlockEdgesTiesAndNaN) {
+  for (const EdgePinnedRun& pin : kEdgePinnedRuns) {
+    SCOPED_TRACE("n=" + std::to_string(pin.n) +
+                 " seed=" + std::to_string(pin.seed));
+    std::vector<double> lower(pin.n), upper(pin.n);
+    for (int i = 0; i < pin.n; ++i) {
+      lower[i] = -2.0 - 0.25 * (i % 3);
+      upper[i] = 3.0 + 0.5 * (i % 5);
+    }
+    const Objective objective = pin.objective;
+    BoxOptions options;
+    options.max_iterations = 200;
+    options.seed = pin.seed;
+    options.max_contractions = pin.max_contractions;
+
+    BoxState state;
+    BoxResult result = complex_box(objective, lower, upper, options, &state);
+    if (pin.resumed) {
+      state = BoxState::deserialize(state.serialize());
+      result = complex_box(objective, lower, upper, options, &state);
+    }
+    const corba::Blob blob = state.serialize();
+    // Compared as bits: NaN is a legitimate pinned value here.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.best_value),
+              std::bit_cast<std::uint64_t>(pin.best_value));
+    EXPECT_EQ(result.evaluations, pin.evaluations);
     EXPECT_EQ(blob.size(), pin.state_bytes);
     EXPECT_EQ(fnv1a(blob), pin.state_fnv1a);
   }

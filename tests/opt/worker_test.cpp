@@ -191,6 +191,17 @@ TEST(WorkerCheckpoint, StateBytesMatchPinnedCheckpoint) {
   EXPECT_EQ(restored.get_state(), blob);
 }
 
+// One-block worker checkpoint in get_state's layout around `box_blob`.
+corba::Blob worker_state_with(int block, const corba::Blob& box_blob) {
+  corba::CdrOutputStream out;
+  out.write_u32(1);
+  out.write_i64(0);
+  out.write_u32(1);
+  out.write_i32(block);
+  out.write_blob(std::span<const std::byte>(box_blob));
+  return out.take_buffer();
+}
+
 TEST(WorkerCheckpoint, RaggedBlockStateRejected) {
   // A block state whose points differ in length must not reach the kernel.
   corba::CdrOutputStream box;
@@ -202,16 +213,46 @@ TEST(WorkerCheckpoint, RaggedBlockStateRejected) {
   box.write_i64(0);
   box.write_i32(0);
   box.write_u64(0);
-  const corba::Blob box_blob = box.take_buffer();
-
-  corba::CdrOutputStream out;
-  out.write_u32(1);
-  out.write_i64(0);
-  out.write_u32(1);
-  out.write_i32(0);
-  out.write_blob(std::span<const std::byte>(box_blob));
   OptWorkerServant servant(paper_problem());
-  EXPECT_THROW(servant.set_state(out.take_buffer()), corba::MARSHAL);
+  EXPECT_THROW(servant.set_state(worker_state_with(0, box.take_buffer())),
+               corba::MARSHAL);
+}
+
+// Serialized complex of `points` points of `dimension` coordinates.
+corba::Blob complex_of(std::size_t points, std::size_t dimension) {
+  BoxState state;
+  state.points.assign(points * dimension, 0.5);
+  state.values.assign(points, 1.0);
+  return state.serialize();
+}
+
+TEST(WorkerCheckpoint, MismatchedBlockStateRejected) {
+  // paper_problem() splits 30 dimensions into blocks of 10, 9 and 9.
+  OptWorkerServant servant(paper_problem());
+  const std::vector<double> coupling = {1.0, 1.0};
+  servant.solve(0, coupling, 20);
+  const corba::Blob before = servant.get_state();
+
+  // A block index the decomposition does not have.
+  EXPECT_THROW(servant.set_state(worker_state_with(3, complex_of(11, 10))),
+               corba::MARSHAL);
+  EXPECT_THROW(servant.set_state(worker_state_with(-1, complex_of(11, 10))),
+               corba::MARSHAL);
+  // A 3-dimensional complex for the 10-dimensional block 0.
+  EXPECT_THROW(servant.set_state(worker_state_with(0, complex_of(6, 3))),
+               corba::MARSHAL);
+  // Ten points of dimension 10: fewer than n + 1.
+  EXPECT_THROW(servant.set_state(worker_state_with(0, complex_of(10, 10))),
+               corba::MARSHAL);
+  // Nothing was replaced, and the worker still solves.
+  EXPECT_EQ(servant.get_state(), before);
+  EXPECT_NO_THROW(servant.solve(0, coupling, 20));
+
+  // The smallest complex that fits is accepted, as is an empty one.
+  EXPECT_NO_THROW(servant.set_state(worker_state_with(0, complex_of(11, 10))));
+  EXPECT_NO_THROW(servant.solve(0, coupling, 20));
+  EXPECT_NO_THROW(servant.set_state(worker_state_with(2, complex_of(0, 9))));
+  EXPECT_NO_THROW(servant.solve(2, coupling, 20));
 }
 
 }  // namespace
